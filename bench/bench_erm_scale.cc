@@ -12,23 +12,34 @@
 //   * memory             - VmRSS growth per binding during the load.
 //
 // The rule population is held constant across points so the sweep isolates
-// entity-count scaling from rule-count scaling.
+// entity-count scaling from rule-count scaling. A second, smaller sweep
+// varies the rule count instead:
+//   * policy publication - one revoke plus one insert in the largest
+//                          priority bucket, then PolicyManager::
+//                          snapshot_view(): what a PDP write costs before
+//                          the next decision can run (the copy-on-write
+//                          policy index, DESIGN.md §8).
 //
 // Gates (the acceptance criteria, enforced in-process):
 //   * decisions/s at the largest point >= half the smallest point (latency
 //     stays within 2x from 10k to 1M entities);
 //   * publishes/s at the largest point >= a tenth of the smallest point
 //     (publication is O(changed), not O(total));
+//   * policy publications/s at the largest rule count >= a quarter of the
+//     smallest (a rebuild per publication grows linearly instead);
 // plus committed per-point floors via --check-baseline.
 //
 // Usage:
-//   bench_erm_scale                          full sweep (to 1M entities)
-//   bench_erm_scale --smoke                  CI-bounded sweep (to 50k)
+//   bench_erm_scale                          full sweep (to 1M entities,
+//                                            1k and 100k rules)
+//   bench_erm_scale --smoke                  CI-bounded sweep (to 50k
+//                                            entities, 1k and 10k rules)
 //   bench_erm_scale --check-baseline <json>  also gate against floors
 // Env:
 //   DFI_SCALE_ENTITIES=<n>  cap the sweep at the largest standard point
 //                           with at most n entities (50000 on PR CI,
 //                           1000000 nightly).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -43,6 +54,7 @@
 #include "core/entity_resolution.h"
 #include "core/pcp_decide.h"
 #include "core/policy_manager.h"
+#include "core/policy_snapshot.h"
 #include "net/packet.h"
 #include "testbed/scale_generator.h"
 
@@ -205,8 +217,70 @@ ScalePoint run_point(std::uint32_t hosts, std::uint32_t rules, bool smoke) {
   return point;
 }
 
+struct PolicyPoint {
+  std::string name;
+  std::uint32_t rules = 0;
+  double publish_per_sec = 0;
+  double clones_per_publish = 0;  // copy-on-write nodes per revoke+insert
+};
+
+PolicyPoint run_policy_point(std::uint32_t rules, bool smoke) {
+  ScaleConfig config;
+  config.hosts = rules;  // distinct pivot values, like an enterprise policy
+  ScaleGenerator gen(config);
+  MessageBus bus;
+  PolicyManager manager(bus);
+
+  // Half the rules sit in the lowest priority bucket, the PDP whose writes
+  // are timed; the rest spread over seven levels above it. Loaded highest
+  // level first, so each insert's consistency sweep finds nothing below
+  // (as in run_point), and the timed writes at the lowest level have no
+  // lower bucket to sweep either: the loop times the write and the
+  // publication, not the (separately benched) sweep.
+  const std::vector<PolicyRule> pop = gen.make_rules(rules);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> order;  // (level, rule)
+  for (std::uint32_t i = 0; i < rules; ++i) {
+    order.emplace_back(i % 2 == 0 ? 1 : 2 + (i / 2) % 7, i);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const auto& a, const auto& b) { return a.first > b.first; });
+  // Victims name an endpoint: port-only rules (every eighth) live on the
+  // bucket's wildcard list, which a write copies whole.
+  std::vector<std::pair<PolicyRuleId, std::uint32_t>> victims;
+  for (const auto& [level, i] : order) {
+    const PolicyRuleId id = manager.insert(pop[i], PdpPriority{level}, "scale-bench");
+    if (level == 1 && i % 8 != 7) victims.emplace_back(id, i);
+  }
+
+  // The previous snapshot stays held, as a PCP holds it until its next
+  // decision, so every write path-copies against a live publication.
+  std::shared_ptr<const PolicySnapshot> held = manager.snapshot_view();
+  const CowTableStats before = manager.cow_stats();
+  const std::size_t writes = smoke ? 2000 : 10000;
+  const Clock::time_point start = Clock::now();
+  for (std::size_t w = 0; w < writes; ++w) {
+    auto& [id, i] = victims[(w * 7919) % victims.size()];
+    if (!manager.revoke(id)) std::abort();
+    id = manager.insert(pop[i], PdpPriority{1}, "scale-bench");
+    held = manager.snapshot_view();
+  }
+  PolicyPoint point;
+  point.name = "r" + std::to_string(rules);
+  point.rules = rules;
+  point.publish_per_sec = static_cast<double>(writes) / seconds_since(start);
+  const CowTableStats after = manager.cow_stats();
+  point.clones_per_publish =
+      static_cast<double>(after.page_copies - before.page_copies +
+                          after.root_copies - before.root_copies) /
+      static_cast<double>(writes);
+  std::printf("%-8s %9u rules  %8.0f revoke+insert+publish/s  %5.1f nodes cloned each\n",
+              point.name.c_str(), rules, point.publish_per_sec, point.clones_per_publish);
+  return point;
+}
+
 void write_json(const char* path, const std::vector<ScalePoint>& points,
-                double decision_ratio, double publish_ratio) {
+                const std::vector<PolicyPoint>& policy_points, double decision_ratio,
+                double publish_ratio, double policy_ratio) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"erm_scale\",\n  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -220,8 +294,17 @@ void write_json(const char* path, const std::vector<ScalePoint>& points,
         << ", \"cow_page_copies\": " << p.cow_page_copies << "}"
         << (i + 1 < points.size() ? "," : "") << "\n";
   }
+  out << "  ],\n  \"policy_points\": [\n";
+  for (std::size_t i = 0; i < policy_points.size(); ++i) {
+    const PolicyPoint& p = policy_points[i];
+    out << "    {\"point\": \"" << p.name << "\", \"rules\": " << p.rules
+        << ", \"policy_publish_per_sec\": " << p.publish_per_sec
+        << ", \"clones_per_publish\": " << p.clones_per_publish << "}"
+        << (i + 1 < policy_points.size() ? "," : "") << "\n";
+  }
   out << "  ],\n  \"gates\": {\"decision_ratio\": " << decision_ratio
-      << ", \"publish_ratio\": " << publish_ratio << "}\n}\n";
+      << ", \"publish_ratio\": " << publish_ratio
+      << ", \"policy_publish_ratio\": " << policy_ratio << "}\n}\n";
 }
 
 // Minimal scan: the numeric value of `key` inside the baseline object whose
@@ -239,7 +322,8 @@ bool baseline_value(const std::string& json, const std::string& point,
   return true;
 }
 
-int check_baseline(const char* path, const std::vector<ScalePoint>& points) {
+int check_baseline(const char* path, const std::vector<ScalePoint>& points,
+                   const std::vector<PolicyPoint>& policy_points) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "FAIL: cannot read baseline %s\n", path);
@@ -283,6 +367,23 @@ int check_baseline(const char* path, const std::vector<ScalePoint>& points) {
                   p.rss_per_binding_bytes);
     }
   }
+  for (const PolicyPoint& p : policy_points) {
+    double floor = 0;
+    if (!baseline_value(json, p.name, "policy_publish_per_sec_floor", &floor)) {
+      std::fprintf(stderr, "FAIL: baseline %s lacks point \"%s\"\n", path,
+                   p.name.c_str());
+      ++failures;
+      continue;
+    }
+    if (p.publish_per_sec < 0.9 * floor) {
+      std::fprintf(stderr, "FAIL: %s %.0f policy publishes/s under floor %.0f\n",
+                   p.name.c_str(), p.publish_per_sec, floor);
+      ++failures;
+    } else {
+      std::printf("baseline ok: %-8s %9.0f policy publishes/s\n", p.name.c_str(),
+                  p.publish_per_sec);
+    }
+  }
   return failures == 0 ? 0 : 1;
 }
 
@@ -302,13 +403,23 @@ int run(bool smoke, const char* baseline_path) {
   std::vector<ScalePoint> points;
   for (const std::uint32_t h : hosts) points.push_back(run_point(h, rules, smoke));
 
+  std::vector<PolicyPoint> policy_points;
+  for (const std::uint32_t n : {1000u, smoke ? 10000u : 100000u}) {
+    policy_points.push_back(run_policy_point(n, smoke));
+  }
+
   const ScalePoint& small = points.front();
   const ScalePoint& large = points.back();
   const double decision_ratio =
       large.decisions_per_sec > 0 ? small.decisions_per_sec / large.decisions_per_sec : 1e9;
   const double publish_ratio =
       large.publish_per_sec > 0 ? small.publish_per_sec / large.publish_per_sec : 1e9;
-  write_json("BENCH_erm_scale.json", points, decision_ratio, publish_ratio);
+  const double policy_ratio =
+      policy_points.back().publish_per_sec > 0
+          ? policy_points.front().publish_per_sec / policy_points.back().publish_per_sec
+          : 1e9;
+  write_json("BENCH_erm_scale.json", points, policy_points, decision_ratio, publish_ratio,
+             policy_ratio);
 
   int failures = 0;
   if (points.size() > 1) {
@@ -331,7 +442,20 @@ int run(bool smoke, const char* baseline_path) {
                   decision_ratio, publish_ratio);
     }
   }
-  if (baseline_path != nullptr) failures += check_baseline(baseline_path, points);
+  // Policy publication is O(changed): from 1k rules to 10k (smoke) or 100k
+  // (full) it may slow by cache effects, not by the rule count.
+  if (policy_ratio > 4.0) {
+    std::fprintf(stderr,
+                 "FAIL: policy publication degraded %.2fx from %s to %s (gate: 4x)\n",
+                 policy_ratio, policy_points.front().name.c_str(),
+                 policy_points.back().name.c_str());
+    ++failures;
+  } else {
+    std::printf("gates ok: policy publication ratio %.2fx (<=4x)\n", policy_ratio);
+  }
+  if (baseline_path != nullptr) {
+    failures += check_baseline(baseline_path, points, policy_points);
+  }
   return failures == 0 ? 0 : 1;
 }
 

@@ -25,7 +25,7 @@ PolicyRuleId PolicyManager::insert(PolicyRule rule, PdpPriority priority,
   // lower-priority rules with the opposite action that overlap the new one.
   // The index narrows the sweep to field-wise overlap candidates.
   index_.for_each_overlap_candidate(
-      rule, priority, [&](const StoredPolicyRule& stored) {
+      rule, priority, index_stats_, [&](const StoredPolicyRule& stored) {
         if (stored.rule.action == rule.action) return;
         if (!stored.rule.overlaps(rule)) return;
         ++stats_.conflict_flushes;
@@ -37,21 +37,17 @@ PolicyRuleId PolicyManager::insert(PolicyRule rule, PdpPriority priority,
     publish_flush(PolicyRuleId{kDefaultDenyCookie.value});
   }
 
-  const auto [it, inserted] = rules_.emplace(
-      id, StoredPolicyRule{id, std::move(rule), priority, std::move(pdp_name)});
-  index_.insert(&it->second);
+  index_.insert(StoredPolicyRule{id, std::move(rule), priority, std::move(pdp_name)});
   ++epoch_;
   snapshot_cache_.invalidate();
   return id;
 }
 
 bool PolicyManager::revoke(PolicyRuleId id) {
-  const auto it = rules_.find(id);
-  if (it == rules_.end()) return false;
+  if (index_.find(id) == nullptr) return false;
   if (journal_ != nullptr) journal_->append_policy_revoke(id, epoch_ + 1);
   ++stats_.revocations;
-  index_.remove(&it->second);
-  rules_.erase(it);
+  index_.remove(id);
   ++epoch_;
   snapshot_cache_.invalidate();
   // Flush every switch rule derived from the revoked policy so ongoing
@@ -62,19 +58,14 @@ bool PolicyManager::revoke(PolicyRuleId id) {
 
 PolicyDecision PolicyManager::query(const FlowView& flow) const {
   ++stats_.queries;
-  const StoredPolicyRule* best = index_.best_match(flow);
-  if (best == nullptr) {
-    return PolicyDecision{PolicyAction::kDeny, PolicyRuleId{kDefaultDenyCookie.value},
-                          /*default_deny=*/true};
-  }
-  return PolicyDecision{best->rule.action, best->id, /*default_deny=*/false};
+  return decision_of(index_.best_match(flow, &index_stats_));
 }
 
 PolicyDecision PolicyManager::query_linear(const FlowView& flow) const {
   ++stats_.linear_queries;
   const StoredPolicyRule* best = nullptr;
-  for (const auto& [id, stored] : rules_) {
-    if (!stored.rule.matches(flow)) continue;
+  index_.for_each_rule([&](const StoredPolicyRule& stored) {
+    if (!stored.rule.matches(flow)) return;
     if (best == nullptr || stored.priority > best->priority) {
       best = &stored;
     } else if (stored.priority == best->priority &&
@@ -82,41 +73,33 @@ PolicyDecision PolicyManager::query_linear(const FlowView& flow) const {
                best->rule.action == PolicyAction::kAllow) {
       best = &stored;  // equal-priority conflict: Deny wins
     }
-  }
-  if (best == nullptr) {
-    return PolicyDecision{PolicyAction::kDeny, PolicyRuleId{kDefaultDenyCookie.value},
-                          /*default_deny=*/true};
-  }
-  return PolicyDecision{best->rule.action, best->id, /*default_deny=*/false};
+  });
+  return decision_of(best);
 }
 
 std::optional<StoredPolicyRule> PolicyManager::find(PolicyRuleId id) const {
-  const auto it = rules_.find(id);
-  if (it == rules_.end()) return std::nullopt;
-  return it->second;
+  const StoredPolicyRule* stored = index_.find(id);
+  if (stored == nullptr) return std::nullopt;
+  return *stored;
 }
 
 std::vector<StoredPolicyRule> PolicyManager::rules() const {
   std::vector<StoredPolicyRule> out;
-  out.reserve(rules_.size());
-  for (const auto& [id, stored] : rules_) out.push_back(stored);
+  out.reserve(index_.size());
+  index_.for_each_rule([&out](const StoredPolicyRule& stored) { out.push_back(stored); });
   return out;
 }
 
 void PolicyManager::restore_rule(StoredPolicyRule stored) {
   const PolicyRuleId id = stored.id;
-  const auto [it, inserted] = rules_.emplace(id, std::move(stored));
-  if (!inserted) return;  // replay is idempotent against duplicate records
-  index_.insert(&it->second);
+  if (index_.find(id) != nullptr) return;  // replay is idempotent against duplicates
+  index_.insert(std::move(stored));
   if (id.value >= next_id_) next_id_ = id.value + 1;
   snapshot_cache_.invalidate();
 }
 
 bool PolicyManager::restore_revoke(PolicyRuleId id) {
-  const auto it = rules_.find(id);
-  if (it == rules_.end()) return false;
-  index_.remove(&it->second);
-  rules_.erase(it);
+  if (!index_.remove(id)) return false;
   snapshot_cache_.invalidate();
   return true;
 }
@@ -135,9 +118,8 @@ void PolicyManager::advance_epoch_to(std::uint64_t epoch) {
 std::shared_ptr<const PolicySnapshot> PolicyManager::snapshot_view() const {
   return snapshot_cache_.get([this]() {
     ++stats_.snapshot_rebuilds;
-    // rules_ is an ordered map keyed by id, so this is ascending-id order —
-    // the order PolicySnapshot requires for tie-break equivalence.
-    return std::make_shared<const PolicySnapshot>(rules(), epoch_);
+    // O(1): freeze the live index and share it; later writes path-copy.
+    return std::make_shared<const PolicySnapshot>(index_.publish(), epoch_);
   });
 }
 

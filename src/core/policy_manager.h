@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -76,10 +75,13 @@ class PolicyManager {
   PolicyDecision query_linear(const FlowView& flow) const;
 
   std::optional<StoredPolicyRule> find(PolicyRuleId id) const;
-  std::vector<StoredPolicyRule> rules() const;
-  std::size_t size() const { return rules_.size(); }
+  std::vector<StoredPolicyRule> rules() const;  // ascending id
+  std::size_t size() const { return index_.size(); }
   const PolicyManagerStats& stats() const { return stats_; }
-  const PolicyIndexStats& index_stats() const { return index_.stats(); }
+  const PolicyIndexStats& index_stats() const { return index_stats_; }
+  // Copy-on-write cost of publication: nodes the writes cloned because a
+  // snapshot shared them (core/policy_index.h).
+  const CowTableStats& cow_stats() const { return index_.cow_stats(); }
 
   // Monotonic version of the policy database, bumped on every successful
   // insert/revoke. Decision caches (core/decision_cache.h) stamp entries
@@ -87,9 +89,11 @@ class PolicyManager {
   std::uint64_t epoch() const { return epoch_; }
 
   // Immutable, epoch-stamped snapshot of the rule database for the PCP
-  // decision path (DESIGN.md §5). Rebuilt lazily — at most once per
+  // decision path (DESIGN.md §5). Published lazily — at most once per
   // insert/revoke, no matter how many decisions run in between; repeated
-  // calls at the same epoch share one frozen object.
+  // calls at the same epoch share one frozen object. Publishing is O(1):
+  // the snapshot shares the live copy-on-write index, and the next write
+  // path-copies only the nodes it touches.
   std::shared_ptr<const PolicySnapshot> snapshot_view() const;
 
   // ------------------------------------------------- durability (WAL)
@@ -116,15 +120,16 @@ class PolicyManager {
   void publish_flush(PolicyRuleId id);
 
   MessageBus& bus_;
-  // Node-based storage: the index holds pointers into this map, which stay
-  // valid across unrelated inserts/erases.
-  std::map<PolicyRuleId, StoredPolicyRule> rules_;
-  PolicyRuleIndex index_;
+  // The rule store and its index, one copy-on-write structure. `mutable`
+  // because publication-from-const (snapshot_view) must mark its nodes
+  // shared.
+  mutable PolicyRuleIndex index_;
   std::uint64_t next_id_ = kDefaultDenyCookie.value + 1;
   std::uint64_t epoch_ = 0;
   Journal* journal_ = nullptr;
   mutable SnapshotCache<PolicySnapshot> snapshot_cache_;
   mutable PolicyManagerStats stats_;
+  mutable PolicyIndexStats index_stats_;
 };
 
 }  // namespace dfi

@@ -1,41 +1,14 @@
 #include "core/policy_snapshot.h"
 
-#include <utility>
-
 namespace dfi {
 
-PolicySnapshot::PolicySnapshot(std::vector<StoredPolicyRule> rules,
-                               std::uint64_t epoch)
-    : epoch_(epoch) {
-  // Queries from shard threads must not touch the index's mutable counters.
-  index_.disable_stats();
-  by_id_.reserve(rules.size());
-  // `rules` arrive in ascending-id order; inserting in that order makes
-  // every frozen posting list a subsequence-identical copy of the live
-  // index's (inserts append, revokes erase in place), which is what keeps
-  // equal-priority tie-breaks bit-identical to the live query path.
-  for (StoredPolicyRule& rule : rules) {
-    rules_.push_back(std::move(rule));
-    const StoredPolicyRule* stored = &rules_.back();
-    by_id_.emplace(stored->id.value, stored);
-    index_.insert(stored);
-  }
-}
-
-PolicyDecision PolicySnapshot::query(const FlowView& flow) const {
-  const StoredPolicyRule* best = index_.best_match(flow);
+PolicyDecision decision_of(const StoredPolicyRule* best) {
   if (best == nullptr) {
     return PolicyDecision{PolicyAction::kDeny,
                           PolicyRuleId{kDefaultDenyCookie.value},
                           /*default_deny=*/true};
   }
   return PolicyDecision{best->rule.action, best->id, /*default_deny=*/false};
-}
-
-const StoredPolicyRule* PolicySnapshot::find(PolicyRuleId id) const {
-  const auto it = by_id_.find(id.value);
-  if (it == by_id_.end()) return nullptr;
-  return it->second;
 }
 
 }  // namespace dfi

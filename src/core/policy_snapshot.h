@@ -1,26 +1,24 @@
 // Immutable snapshot of the Policy Manager's rule database.
 //
-// The PCP decision path queries policy through a frozen PolicySnapshot —
-// a deep copy of every stored rule plus a PolicyRuleIndex built over the
-// copies with its counters disabled — instead of the Policy Manager's live
-// index (DESIGN.md §5). A snapshot is therefore safe to query from any
-// number of PCP shards concurrently while PDPs keep inserting and revoking
-// rules against the live manager on the control thread.
+// The PCP decision path queries policy through a frozen PolicySnapshot
+// instead of the Policy Manager's live index (DESIGN.md §5). The snapshot
+// holds a published copy of the manager's own copy-on-write rule store and
+// index (core/policy_index.h): taking it is O(1), it shares every rule and
+// node with the live manager, and the manager's later writes path-copy
+// whatever they touch instead of mutating shared nodes. A snapshot is
+// therefore safe to query from any number of PCP shards concurrently while
+// PDPs keep inserting and revoking rules against the live manager on the
+// control thread.
 //
-// Query equivalence: the frozen index files its rules in ascending-id
-// order, which is exactly the surviving-insertion order of the live
-// index's posting lists (inserts append, revokes erase in place), so
+// Query equivalence: the snapshot *is* the live index at its epoch, frozen
+// — same buckets, same posting-list order, same Deny-wins walk — so
 // query() here returns bit-identical decisions to PolicyManager::query()
-// at the epoch the snapshot was taken — including the choice among
+// at the epoch the snapshot was taken, including the choice among
 // equally-ranked same-action rules.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <optional>
-#include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "common/types.h"
 #include "core/policy.h"
@@ -41,33 +39,37 @@ struct PolicyDecision {
   bool default_deny = false;
 };
 
+// The decision `best` (nullptr: no rule matched) stands for.
+PolicyDecision decision_of(const StoredPolicyRule* best);
+
 class PolicySnapshot {
  public:
-  // Freeze `rules` (presented in ascending-id order) at `epoch`.
-  PolicySnapshot(std::vector<StoredPolicyRule> rules, std::uint64_t epoch);
+  // Wrap `frozen` (a PolicyRuleIndex::publish() copy) taken at `epoch`.
+  PolicySnapshot(PolicyRuleIndex frozen, std::uint64_t epoch)
+      : index_(std::move(frozen)), epoch_(epoch) {}
 
   // Highest-priority rule matching the flow; PDP priority orders rules,
   // equal-priority Allow/Deny conflicts resolve to Deny, no match is the
   // default deny. Pure: touches no mutable state.
-  PolicyDecision query(const FlowView& flow) const;
+  PolicyDecision query(const FlowView& flow) const {
+    return decision_of(index_.best_match(flow));
+  }
 
-  const StoredPolicyRule* find(PolicyRuleId id) const;
+  const StoredPolicyRule* find(PolicyRuleId id) const { return index_.find(id); }
 
-  // Every frozen rule, ascending id. Iteration without the per-call copy
-  // PolicyManager::rules() makes.
-  const std::deque<StoredPolicyRule>& rules() const { return rules_; }
+  // fn(const StoredPolicyRule&) for every frozen rule, ascending id.
+  template <typename Fn>
+  void for_each_rule(Fn&& fn) const {
+    index_.for_each_rule(std::forward<Fn>(fn));
+  }
 
-  std::size_t size() const { return rules_.size(); }
+  std::size_t size() const { return index_.size(); }
 
   // The Policy Manager epoch in force when this snapshot was taken;
   // decision-cache entries derived from it are stamped with this value.
   std::uint64_t epoch() const { return epoch_; }
 
  private:
-  // Deque: stable element addresses while building, required because the
-  // index holds pointers to the stored rules.
-  std::deque<StoredPolicyRule> rules_;
-  std::unordered_map<std::uint64_t, const StoredPolicyRule*> by_id_;
   PolicyRuleIndex index_;
   std::uint64_t epoch_ = 0;
 };

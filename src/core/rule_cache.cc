@@ -45,12 +45,13 @@ std::optional<WildcardCompileResult> compile_wildcard(const PolicySnapshot& poli
   // Safety gate: any other rule with priority >= ours and the opposite
   // action that overlaps our scope could decide a covered packet
   // differently (including the equal-priority case, where Deny wins).
-  for (const auto& other : policy.rules()) {
-    if (other.id == stored->id) continue;
-    if (other.priority < stored->priority) continue;
-    if (other.rule.action == stored->rule.action) continue;
-    if (other.rule.overlaps(stored->rule)) return std::nullopt;
-  }
+  bool shadowed = false;
+  policy.for_each_rule([&](const StoredPolicyRule& other) {
+    shadowed = shadowed || (other.id != stored->id && other.priority >= stored->priority &&
+                            other.rule.action != stored->rule.action &&
+                            other.rule.overlaps(stored->rule));
+  });
+  if (shadowed) return std::nullopt;
 
   WildcardCompileResult result;
   Match& match = result.match;

@@ -18,6 +18,7 @@ Connection::~Connection() {
 
 bool Connection::start() {
   if (!loop_ || !socket_ || socket_->fd() < 0) return true;  // manual mode
+  if (registered_) return true;
   registered_ = loop_->add_fd(
       socket_->fd(), /*want_read=*/!reads_paused_, /*want_write=*/false,
       [this, alive = alive_](bool readable, bool writable, bool error) {

@@ -97,7 +97,9 @@ class Connection {
   // close). Null: they are simply destroyed.
   void set_frame_pool(FrameBufferPool* pool) { pool_ = pool; }
 
-  bool start();  // registers with the loop; no-op in manual mode
+  // Registers with the loop; no-op in manual mode and when already
+  // registered (a second add_fd of the same fd would fail).
+  bool start();
 
   // Queue one frame (or coalesced multi-frame buffer) for egress. False
   // when the connection is closed or the bounded queue is full — the caller

@@ -71,6 +71,7 @@ class ReplTransport {
   net::Connection* connection() { return conn_.get(); }
 
  private:
+  // `conn` comes from conman, which has already started it.
   void adopt(std::unique_ptr<net::Connection> conn) {
     detach();
     conn_ = std::move(conn);
@@ -90,7 +91,6 @@ class ReplTransport {
       conn_->send(std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
       conn_->flush();
     });
-    conn_->start();
   }
 
   void detach() {

@@ -3,9 +3,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
 #include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "common/cow_table.h"
 #include "common/frame_buffer_pool.h"
 #include "common/logging.h"
 #include "common/result.h"
@@ -237,6 +242,73 @@ TEST(FrameBufferPool, MaxFreeBoundsRetainedSlab) {
   // Releases past max_free simply free the buffer.
   EXPECT_EQ(pool.stats().free_buffers, 2u);
   EXPECT_EQ(pool.stats().releases, 5u);
+}
+
+// Copy-on-write maps against std::map oracles. Random inserts and erases
+// over enough keys to split and fold trie nodes and to empty radix leaves;
+// copies taken after a generation bump (a publication) are held and must
+// keep their contents through every later write to the live map.
+template <typename Map, typename Write>
+void run_cow_map_oracle(std::uint64_t seed, std::int64_t key_space, Write write) {
+  using Model = std::map<std::uint64_t, int>;
+  Rng rng(seed);
+  Map live;
+  Model model;
+  std::vector<std::pair<Map, Model>> held;
+  std::uint64_t generation = 0;
+  CowTableStats stats;
+  const auto check = [&](const Map& map, const Model& expect) {
+    for (std::int64_t k = 0; k <= key_space; ++k) {
+      const std::uint64_t key = static_cast<std::uint64_t>(k) * 0x9e3779b97f4a7c15ull;
+      const auto* found = map.find(key);
+      const auto it = expect.find(key);
+      ASSERT_EQ(found != nullptr, it != expect.end()) << "key " << k;
+      if (found != nullptr) {
+        EXPECT_EQ(**found, it->second);
+      }
+    }
+    std::size_t visited = 0;
+    map.for_each([&](const auto&) { ++visited; });
+    EXPECT_EQ(visited, expect.size());
+  };
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint64_t key =
+        static_cast<std::uint64_t>(rng.uniform_int(0, key_space)) * 0x9e3779b97f4a7c15ull;
+    if (rng.chance(0.55) && model.count(key) == 0) {
+      write(live, key, step, generation, stats);
+      model[key] = step;
+    } else {
+      EXPECT_EQ(live.erase(key, generation, stats), model.erase(key) == 1);
+    }
+    if (step % 97 == 0) {
+      ++generation;
+      held.emplace_back(live, model);
+      if (held.size() > 4) held.erase(held.begin());
+    }
+    if (step % 211 == 0) {
+      check(live, model);
+      for (const auto& [map, expect] : held) check(map, expect);
+    }
+  }
+  EXPECT_GT(stats.page_copies, 0u);
+}
+
+TEST(CowHashMap, HeldCopiesKeepTheirContentsUnderChurn) {
+  run_cow_map_oracle<CowHashMap<std::shared_ptr<int>>>(
+      11, 1500, [](auto& map, std::uint64_t key, int value, std::uint64_t generation,
+                   CowTableStats& stats) {
+        map.mutate(key, generation, stats) = std::make_shared<int>(value);
+      });
+}
+
+TEST(CowRadixMap, HeldCopiesKeepTheirContentsUnderChurn) {
+  // Keys as issued ids: the multiplier above wraps them over the full 64
+  // bits, so the tree reaches its full height too.
+  run_cow_map_oracle<CowRadixMap<std::shared_ptr<int>>>(
+      12, 1500, [](auto& map, std::uint64_t key, int value, std::uint64_t generation,
+                   CowTableStats& stats) {
+        map.insert(key, std::make_shared<int>(value), generation, stats);
+      });
 }
 
 }  // namespace

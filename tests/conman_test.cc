@@ -459,6 +459,47 @@ TEST(ConmanTest, EgressWatermarkBackpressurePausesAndResumesReads) {
   ::close(client);
 }
 
+// conman starts every connection it hands out. An owner that calls start()
+// again must not lose the registration: a send larger than the socket
+// buffers still re-arms EPOLLOUT and drains with no further flush() from
+// the owner, and close() still removes the fd from the loop.
+TEST(ConmanTest, ConnectionStartedTwiceStillDrainsAndUnregistersOnClose) {
+  EventLoop loop;
+  ConnectionManager conman(loop, {});
+  std::unique_ptr<Connection> server;
+  auto port = conman.listen("127.0.0.1", 0,
+                            [&](std::unique_ptr<Connection> conn,
+                                const std::string&) { server = std::move(conn); });
+  ASSERT_TRUE(port.ok());
+  const int client = connect_client(port.value());
+  ASSERT_TRUE(pump_until(loop, [&] { return server != nullptr; }));
+  int sndbuf = 64 * 1024;
+  ::setsockopt(server->fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof sndbuf);
+
+  const std::size_t registered = loop.fd_count();
+  EXPECT_TRUE(server->start());  // already registered by conman
+  EXPECT_EQ(loop.fd_count(), registered);
+
+  const std::vector<std::uint8_t> payload(4 << 20, 0x5a);
+  ASSERT_TRUE(server->send(payload));
+  server->flush();
+  ASSERT_GE(server->stats().would_block_writes, 1u) << "payload fit the socket";
+
+  std::size_t received = 0;
+  std::vector<std::uint8_t> sink(64 * 1024);
+  ASSERT_TRUE(pump_until(loop, [&] {
+    ssize_t n;
+    while ((n = ::recv(client, sink.data(), sink.size(), MSG_DONTWAIT)) > 0) {
+      received += static_cast<std::size_t>(n);
+    }
+    return received == payload.size();
+  }, /*timeout_ms=*/10000)) << "drained " << received << " of " << payload.size();
+
+  server->close("test");
+  EXPECT_EQ(loop.fd_count(), registered - 1);
+  ::close(client);
+}
+
 // A manager destroyed while a nonblocking connect is still in flight must
 // reclaim the pending fd and its loop registration; the dial callback never
 // fires.

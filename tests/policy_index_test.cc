@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <mutex>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "bus/message_bus.h"
@@ -184,8 +188,206 @@ TEST_P(PolicyIndexDifferentialTest, ConflictFlushSetMatchesBruteForce) {
   }
 }
 
+// Published snapshots share the live copy-on-write index, so every write
+// after a publication must path-copy instead of mutating a shared node. A
+// snapshot held across later inserts and revokes must keep answering
+// exactly as a fresh index built from its epoch's rules in ascending-id
+// order does (the old rebuild-per-publication semantics), and as the
+// linear scan does up to the choice among equally ranked same-action rules.
+// The interleavings create and delete buckets, grow and empty posting
+// lists, free revoked rules whose storage later inserts reuse, and send
+// half of all writes into the largest bucket.
+TEST_P(PolicyIndexDifferentialTest, HeldSnapshotsAnswerLikeAFreshIndexOfTheirEpoch) {
+  MessageBus bus;
+  PolicyManager manager(bus);
+  RandomModel model(GetParam() ^ 0x1d1e5eedu);
+  struct Held {
+    std::shared_ptr<const PolicySnapshot> snapshot;
+    std::uint64_t epoch = 0;
+    std::vector<StoredPolicyRule> rules;
+    std::unique_ptr<MessageBus> fresh_bus;
+    std::unique_ptr<PolicyManager> fresh;
+  };
+  std::vector<Held> held;
+  std::vector<PolicyRuleId> live;
+
+  for (int round = 0; round < 400; ++round) {
+    const bool insert =
+        live.size() < 3 || (live.size() < 30 && model.chance(0.55));
+    if (insert) {
+      const PdpPriority priority =
+          model.chance(0.5) ? PdpPriority{40} : model.random_priority();
+      live.push_back(manager.insert(model.random_rule(), priority, "held"));
+    } else {
+      const std::size_t victim =
+          static_cast<std::size_t>(round * 7919) % live.size();
+      std::swap(live[victim], live.back());
+      ASSERT_TRUE(manager.revoke(live.back()));
+      live.pop_back();
+    }
+    if (model.chance(0.3)) {
+      Held h;
+      h.snapshot = manager.snapshot_view();
+      h.epoch = manager.epoch();
+      h.rules = manager.rules();
+      h.fresh_bus = std::make_unique<MessageBus>();
+      h.fresh = std::make_unique<PolicyManager>(*h.fresh_bus);
+      for (const StoredPolicyRule& stored : h.rules) h.fresh->restore_rule(stored);
+      held.push_back(std::move(h));
+      if (held.size() > 6) held.erase(held.begin());
+    }
+    for (const Held& h : held) {
+      ASSERT_EQ(h.snapshot->epoch(), h.epoch) << "round " << round;
+      ASSERT_EQ(h.snapshot->size(), h.rules.size()) << "round " << round;
+      std::size_t i = 0;
+      h.snapshot->for_each_rule([&](const StoredPolicyRule& stored) {
+        ASSERT_LT(i, h.rules.size());
+        EXPECT_EQ(stored.id, h.rules[i].id);
+        EXPECT_EQ(stored.priority, h.rules[i].priority);
+        EXPECT_EQ(stored.rule, h.rules[i].rule);
+        EXPECT_EQ(h.snapshot->find(stored.id), &stored);
+        ++i;
+      });
+      for (int q = 0; q < 4; ++q) {
+        const FlowView flow = model.random_flow();
+        const PolicyDecision frozen = h.snapshot->query(flow);
+        const PolicyDecision fresh = h.fresh->query(flow);
+        ASSERT_EQ(frozen.default_deny, fresh.default_deny) << "round " << round;
+        ASSERT_EQ(frozen.action, fresh.action) << "round " << round;
+        ASSERT_EQ(frozen.rule_id, fresh.rule_id) << "round " << round;
+        expect_equivalent(*h.fresh, flow);
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PolicyIndexDifferentialTest,
                          ::testing::Range(0u, 6u));
+
+// One write into one large bucket, then snapshot_view(): the publication
+// clones only the nodes on the written path — the root, the bucket, the
+// posting trie's nodes above the list, and the id map's path — so the count
+// stays under one fixed bound whatever the rule count. The population load
+// before the first publication mutates in place and clones nothing.
+TEST(PolicyIndexTest, PublishAfterOneWriteClonesABoundedNumberOfNodes) {
+  constexpr std::uint64_t kCloneBound = 12;
+  for (const std::uint32_t rules : {1000u, 10000u}) {
+    MessageBus bus;
+    PolicyManager manager(bus);
+    const auto make = [](std::uint32_t i) {
+      PolicyRule rule;
+      rule.action = i % 5 == 0 ? PolicyAction::kDeny : PolicyAction::kAllow;
+      rule.source.ip = Ipv4Address(0x0a000000u + i);
+      rule.destination.l4_port = 445;
+      return rule;
+    };
+    std::vector<PolicyRuleId> ids;
+    for (std::uint32_t i = 0; i < rules; ++i) {
+      ids.push_back(manager.insert(make(i), PdpPriority{10}, "bulk"));
+    }
+    EXPECT_EQ(manager.cow_stats().page_copies, 0u);
+    EXPECT_EQ(manager.cow_stats().root_copies, 0u);
+    (void)manager.snapshot_view();
+
+    const auto clones_of = [&](const auto& write) {
+      const CowTableStats before = manager.cow_stats();
+      write();
+      (void)manager.snapshot_view();
+      const CowTableStats after = manager.cow_stats();
+      EXPECT_EQ(after.root_copies - before.root_copies, 1u);
+      return (after.page_copies - before.page_copies) +
+             (after.root_copies - before.root_copies);
+    };
+    const std::uint64_t revoke =
+        clones_of([&] { ASSERT_TRUE(manager.revoke(ids[rules / 2])); });
+    const std::uint64_t insert =
+        clones_of([&] { manager.insert(make(rules), PdpPriority{10}, "bulk"); });
+    EXPECT_LE(revoke, kCloneBound) << rules << " rules";
+    EXPECT_LE(insert, kCloneBound) << rules << " rules";
+    EXPECT_GE(revoke, 3u) << "root, bucket and id path at least";
+  }
+}
+
+// Reader threads query held and freshly published snapshots while the
+// control thread keeps writing to the same bucket and publishing. Every
+// answer must equal what the live index answered at that snapshot's epoch;
+// under TSan this is the race check for the shared copy-on-write index (the
+// writer never writes a node a published snapshot can reach, and queries
+// on a snapshot write nothing).
+TEST(PolicyIndexTest, ConcurrentReadersQueryFrozenSnapshotsWhileWriterPublishes) {
+  MessageBus bus;
+  PolicyManager manager(bus);
+  RandomModel model(77);
+  std::vector<FlowView> flows;
+  for (int i = 0; i < 24; ++i) flows.push_back(model.random_flow());
+  std::vector<PolicyRuleId> live;
+  for (int i = 0; i < 150; ++i) {
+    live.push_back(manager.insert(model.random_rule(), PdpPriority{10}, "load"));
+  }
+
+  struct Published {
+    std::shared_ptr<const PolicySnapshot> snapshot;
+    std::vector<PolicyDecision> expected;
+  };
+  std::mutex mutex;
+  std::shared_ptr<const Published> current;
+  const auto publish = [&] {
+    auto published = std::make_shared<Published>();
+    published->snapshot = manager.snapshot_view();
+    for (const FlowView& flow : flows) published->expected.push_back(manager.query(flow));
+    const std::lock_guard<std::mutex> lock(mutex);
+    current = std::move(published);
+  };
+  const auto latest = [&] {
+    const std::lock_guard<std::mutex> lock(mutex);
+    return current;
+  };
+  publish();
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> checks{0};
+  std::atomic<std::uint64_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      std::shared_ptr<const Published> held = latest();
+      for (std::uint64_t pass = 0; !stop.load(std::memory_order_relaxed); ++pass) {
+        const std::shared_ptr<const Published> fresh = latest();
+        for (const Published* p : {held.get(), fresh.get()}) {
+          for (std::size_t i = 0; i < flows.size(); ++i) {
+            const PolicyDecision got = p->snapshot->query(flows[i]);
+            const PolicyDecision& want = p->expected[i];
+            if (got.rule_id != want.rule_id || got.action != want.action ||
+                got.default_deny != want.default_deny ||
+                (!got.default_deny && p->snapshot->find(got.rule_id) == nullptr)) {
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
+            checks.fetch_add(1, std::memory_order_relaxed);
+          }
+          std::size_t counted = 0;
+          p->snapshot->for_each_rule([&](const StoredPolicyRule&) { ++counted; });
+          if (counted != p->snapshot->size()) mismatches.fetch_add(1);
+        }
+        if ((pass + static_cast<std::uint64_t>(r)) % 8 == 0) held = fresh;
+      }
+    });
+  }
+
+  for (int round = 0; round < 300; ++round) {
+    if (live.size() > 120 && model.chance(0.5)) {
+      std::swap(live[static_cast<std::size_t>(round) % live.size()], live.back());
+      ASSERT_TRUE(manager.revoke(live.back()));
+      live.pop_back();
+    } else {
+      live.push_back(manager.insert(model.random_rule(), PdpPriority{10}, "churn"));
+    }
+    publish();
+  }
+  while (checks.load() < 3000) std::this_thread::yield();
+  stop = true;
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+}
 
 // ------------------------------------------------- deterministic corners
 

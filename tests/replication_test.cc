@@ -531,6 +531,45 @@ TEST(Replication, TransportStreamsOverRealLoopbackSockets) {
   }));
 }
 
+// A bootstrap snapshot far larger than the loopback socket buffers: the
+// primary's writes hit EAGAIN, so the link only completes if the transport
+// re-arms EPOLLOUT and drains the rest. conman already starts every
+// connection it hands out, and a second start() used to drop the
+// connection's registration — the stream then stalled for good after the
+// first few megabytes.
+TEST(Replication, TransportBootstrapsMultiMegabyteSnapshotOverLoopback) {
+  net::EventLoop loop;
+  net::ConnectionManager conman_a(loop, {});
+  net::ConnectionManager conman_b(loop, {});
+
+  Node a(11);
+  Node b(22);
+  a.replica->become_primary();
+  for (std::uint32_t i = 0; i < 36000; ++i) {
+    PolicyRule rule;
+    rule.action = i % 5 == 0 ? PolicyAction::kDeny : PolicyAction::kAllow;
+    rule.source.ip = Ipv4Address(0x0a000000u + i);
+    rule.source.user = Username{"bootstrap-user-" + std::to_string(i)};
+    rule.destination.host = Hostname{"bootstrap-host-" + std::to_string(i)};
+    rule.destination.l4_port = static_cast<std::uint16_t>(1024 + i % 40000);
+    a.manager.insert(rule, PdpPriority{1 + i % 8}, "bootstrap-pdp");
+  }
+  const std::size_t snapshot_bytes =
+      Journal::snapshot_payload(a.manager, a.erm).size();
+  ASSERT_GE(snapshot_bytes, std::size_t{4} << 20);
+
+  ReplTransport transport_a(loop, conman_a, *a.replica, /*heartbeat_ms=*/5);
+  ReplTransport transport_b(loop, conman_b, *b.replica, /*heartbeat_ms=*/5);
+  const auto port = transport_a.listen("127.0.0.1", 0);
+  ASSERT_TRUE(port.ok()) << port.error().message;
+  transport_b.dial("127.0.0.1", port.value());
+
+  ASSERT_TRUE(pump_until(loop, [&] {
+    return b.replica->stats().snapshots_installed == 1;
+  }, /*timeout_ms=*/20000)) << "snapshot of " << snapshot_bytes << " bytes stalled";
+  expect_converged(a, b);
+}
+
 TEST(Replication, DecoderPoisonsPermanentlyOnGarbage) {
   repl::ReplFrameDecoder decoder;
   std::vector<std::uint8_t> garbage(repl::kReplHeaderSize, 0x00);  // bad magic

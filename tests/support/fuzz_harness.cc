@@ -882,11 +882,12 @@ class FuzzWorld {
 
   // ---------------------------------------- incremental snapshot probes
 
-  // One held publication: the snapshot, the entity probed at capture time,
-  // and the answers it gave then. Re-asking later must return the same
-  // bytes no matter what the live ERM did since (DESIGN.md §8): an
-  // incremental publish clones only the pages it touches, so a stale clone
-  // would surface here as a drifted answer or a moved epoch.
+  // One held publication: the ERM and policy snapshots, the entity probed
+  // at capture time, and the answers they gave then. Re-asking later must
+  // return the same bytes no matter what the live managers did since
+  // (DESIGN.md §8): an incremental publish clones only the nodes it
+  // touches, so a stale clone would surface here as a drifted answer or a
+  // moved epoch.
   struct HeldSnapshot {
     ErmSnapshot snap;
     std::size_t captured_step;
@@ -894,6 +895,10 @@ class FuzzWorld {
     std::uint64_t epoch;
     std::vector<Hostname> hostnames;
     std::vector<Username> usernames;
+    std::shared_ptr<const PolicySnapshot> policy;
+    std::uint64_t policy_epoch;
+    FlowView flow;  // from the probed entity to itself, TCP/445
+    PolicyDecision decision;
   };
 
   void snapshot_probe(const std::string& tag) {
@@ -908,9 +913,19 @@ class FuzzWorld {
                " hosts=" + std::to_string(enriched.hostnames.size()) +
                " users=" + std::to_string(enriched.usernames.size()));
     const std::uint64_t epoch = snap.epoch();
+    FlowView flow;
+    flow.ether_type = 0x0800;
+    flow.ip_proto = 6;
+    flow.src = enriched;
+    flow.dst.ip = ip;
+    flow.dst.l4_port = 445;
+    std::shared_ptr<const PolicySnapshot> policy = policy_.snapshot_view();
+    const PolicyDecision decision = policy->query(flow);
+    const std::uint64_t policy_epoch = policy->epoch();
     held_.push_back(HeldSnapshot{std::move(snap), step_, ip, epoch,
                                  std::move(enriched.hostnames),
-                                 std::move(enriched.usernames)});
+                                 std::move(enriched.usernames), std::move(policy),
+                                 policy_epoch, std::move(flow), decision});
     ++snapshot_probes_;
     if (held_.size() > 4) held_.erase(held_.begin());
   }
@@ -928,6 +943,17 @@ class FuzzWorld {
       const EndpointView now = held.snap.enrich(std::move(view));
       if (now.hostnames != held.hostnames || now.usernames != held.usernames) {
         violation("I4", tag + " answer drifted under churn");
+      }
+      if (held.policy->epoch() != held.policy_epoch) {
+        violation("I4", tag + " policy epoch moved: " + std::to_string(held.policy_epoch) +
+                            " -> " + std::to_string(held.policy->epoch()));
+      }
+      const PolicyDecision decision = held.policy->query(held.flow);
+      if (decision.action != held.decision.action ||
+          decision.rule_id != held.decision.rule_id) {
+        violation("I4", tag + " policy decision drifted under churn: rule " +
+                            std::to_string(held.decision.rule_id.value) + " -> " +
+                            std::to_string(decision.rule_id.value));
       }
     }
   }

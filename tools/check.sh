@@ -8,7 +8,8 @@
 #   asan   ASan+UBSan build (-DDFI_SANITIZE=ON) of the memory-sensitive
 #          component tests — including the proxy teardown regressions
 #   tsan   TSan build (-DDFI_SANITIZE=thread) of the SPSC ring stress, the
-#          threaded shard-pool and bus tests
+#          threaded shard-pool and bus tests, and the policy index's
+#          concurrent snapshot readers
 #   fuzz   the model-based invariant fuzz campaign (tests/support/
 #          fuzz_harness.cc): the full deterministic campaign on the plain
 #          build, plus bounded campaigns under ASan+UBSan and TSan.
@@ -74,8 +75,10 @@ if want tier1; then
 
   echo "== tier-1: entity-plane scale bench (smoke + baseline gate) =="
   # Interned-entity decision latency, incremental-publish throughput, and
-  # RSS/binding vs committed floors; in-process scaling gates (decision
-  # latency <=2x, publish <=10x across the sweep) run in every mode.
+  # RSS/binding vs committed floors; policy publication (revoke + insert +
+  # snapshot_view) at two rule counts vs committed floors; in-process
+  # scaling gates (decision latency <=2x, publish <=10x across the entity
+  # sweep, policy publication <=4x across the rule counts) in every mode.
   (cd build/bench && ./bench_erm_scale --smoke \
     --check-baseline ../../bench/baselines/BENCH_erm_scale.baseline.json)
 
@@ -131,7 +134,7 @@ if want tsan; then
   cmake -B build-tsan -S . -DDFI_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "${JOBS}" --target spsc_ring_test \
     shard_pool_test bus_test proxy_test intern_test \
-    event_loop_test conman_test
+    event_loop_test conman_test policy_index_test
 
   echo "== sanitizer tests (TSan) =="
   ./build-tsan/tests/intern_test
@@ -144,6 +147,9 @@ if want tsan; then
   # loop-thread tests; conman adds timer-wheel reconnect races.
   ./build-tsan/tests/event_loop_test
   ./build-tsan/tests/conman_test
+  # Copy-on-write policy index: reader threads query published snapshots
+  # while the control thread writes the same bucket and republishes.
+  ./build-tsan/tests/policy_index_test
 fi
 
 if want fuzz; then
