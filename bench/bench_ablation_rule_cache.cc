@@ -32,9 +32,8 @@ Outcome run(bool caching, int clients, int servers, int flows_per_pair) {
   EntityResolutionManager erm(bus);
   PolicyManager manager(bus);
   PcpConfig config;
-  config.zero_latency = true;
   config.wildcard_caching = caching;
-  PolicyCompilationPoint pcp(sim, bus, erm, manager, config, Rng(3));
+  PolicyCompilationPoint pcp(sim, bus, erm, manager, config);
 
   SwitchDevice device(SwitchConfig{Dpid{1}, 4, 1 << 20}, [&sim]() { return sim.now(); });
   device.add_port(PortNo{1}, [](PortNo, const std::vector<std::uint8_t>&) {});

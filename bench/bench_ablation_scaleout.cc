@@ -16,7 +16,7 @@
 //    service time (the production PCP blocks on IPC to the ERM / Policy
 //    Manager), submitted per packet: throughput scales with in-flight
 //    decisions, exactly as before the batched datapath landed;
-//  * "threads_batch" — the pure-CPU decision datapath (zero_latency): shard
+//  * "threads_batch" — the pure-CPU decision datapath (no timing model): shard
 //    count x batch size, submitted through handle_packet_in_batch. This is
 //    the section that measures the ring + batching machinery itself —
 //    submission, decide, completion drain, in-order apply — with no
@@ -40,6 +40,7 @@
 #include "core/pcp.h"
 #include "harness/cbench.h"
 #include "harness/report.h"
+#include "sim/paper_timing.h"
 #include "sim/stats.h"
 
 namespace dfi {
@@ -72,7 +73,6 @@ struct BatchPoint {
 Point run_simulated_point(std::size_t shards) {
   CbenchConfig config;
   config.dfi.pcp.shards = shards;
-  config.dfi.pcp.workers = 7;
   config.dfi.pcp.queue_capacity = 96;
   config.seed = 0x5ca1e + shards;
   CbenchEmulator bench(config);
@@ -131,7 +131,8 @@ Point run_threaded_point(std::size_t shards) {
   config.backend = PcpBackend::kThreads;
   config.shards = shards;
   config.queue_capacity = 64;
-  PolicyCompilationPoint pcp(sim, bus, erm, manager, config, Rng(11));
+  PaperTiming timing(sim, shards, config.queue_capacity, 1.0, 11);
+  PolicyCompilationPoint pcp(sim, bus, erm, manager, config, &timing);
   pcp.register_switch(Dpid{1}, [](const OfMessage&) {});
 
   PolicyRule allow;
@@ -179,9 +180,9 @@ Point run_threaded_point(std::size_t shards) {
 
 // --------------------------------------- batched datapath (pure CPU cost)
 
-// The machinery measurement: zero_latency strips the modeled Table II
-// blocking, so what remains is exactly the cost the batched datapath is
-// built to shrink — per-decision submission, ring transfer, snapshot
+// The machinery measurement: without the timing model there is no modelled
+// Table II blocking, so what remains is exactly the cost the batched
+// datapath is built to shrink — per-decision submission, ring transfer, snapshot
 // acquisition, decide, completion drain and in-order apply. Decisions/s
 // here is end to end: a packet counts only once its effects have applied
 // on the control thread.
@@ -197,8 +198,7 @@ BatchPoint run_threaded_batch_point(std::size_t shards, std::size_t batch,
   config.backend = PcpBackend::kThreads;
   config.shards = shards;
   config.queue_capacity = 512;
-  config.zero_latency = true;
-  PolicyCompilationPoint pcp(sim, bus, erm, manager, config, Rng(11));
+  PolicyCompilationPoint pcp(sim, bus, erm, manager, config);
   pcp.register_switch(Dpid{1}, [](const OfMessage&) {});
 
   PolicyRule allow;
@@ -299,7 +299,7 @@ void print_report(const char* title, const std::vector<Point>& points) {
 }
 
 void print_batch_report(const std::vector<BatchPoint>& points) {
-  Report report("Batched datapath: decisions/s (zero-latency, pure CPU cost)");
+  Report report("Batched datapath: decisions/s (no timing model, pure CPU cost)");
   report.columns({"shards", "batch", "decisions/s", "latency p50 (ms)",
                   "latency p99 (ms)"});
   for (const BatchPoint& p : points) {

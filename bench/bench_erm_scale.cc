@@ -169,7 +169,6 @@ ScalePoint run_point(std::uint32_t hosts, std::uint32_t rules, bool smoke) {
   }
 
   PcpConfig pcp_config;
-  pcp_config.zero_latency = true;
   pcp_config.decision_cache_capacity = 0;
   DecisionCache<PcpDecision> cache(0);
   const DecisionSnapshots snapshots{erm.snapshot_view(), manager.snapshot_view()};

@@ -340,9 +340,7 @@ bool run_drill(std::uint64_t seed, DrillResult* out) {
   // resync (cookie-masked clears) and decides a fresh Packet-in — the
   // DfiSystem path out of the promotion's degraded window.
   PcpConfig pcp_config;
-  pcp_config.zero_latency = true;
-  PolicyCompilationPoint pcp(sim, b.bus, b.erm, b.manager, pcp_config,
-                             Rng(seed ^ 0x7ab1));
+  PolicyCompilationPoint pcp(sim, b.bus, b.erm, b.manager, pcp_config);
   std::uint64_t flowmods = 0;
   pcp.register_switch(Dpid{1}, [&](const OfMessage&) { ++flowmods; });
   pcp.resync_all();

@@ -187,8 +187,7 @@ DecisionCacheStats run_cache_workload(std::uint64_t* packet_ins) {
   EntityResolutionManager erm(bus);
   PolicyManager manager(bus);
   PcpConfig config;
-  config.zero_latency = true;
-  PolicyCompilationPoint pcp(sim, bus, erm, manager, config, Rng(7));
+  PolicyCompilationPoint pcp(sim, bus, erm, manager, config);
   pcp.register_switch(Dpid{1}, [](const OfMessage&) {});
 
   std::vector<Ipv4Address> ips;

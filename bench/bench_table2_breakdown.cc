@@ -11,6 +11,7 @@
 
 #include "harness/cbench.h"
 #include "harness/report.h"
+#include "sim/paper_timing.h"
 
 using namespace dfi;
 
@@ -20,17 +21,17 @@ int main() {
   CbenchEmulator bench{CbenchConfig{}};
   const SampleStats overall = bench.run_latency_mode(3000);
 
-  const auto& pcp = bench.dfi().pcp();
+  const PaperTiming& timing = *bench.dfi().timing();
   const auto fmt_pair = [](const SampleStats& stats) {
     return Report::fmt(stats.mean()) + " +/- " + Report::fmt(stats.stddev());
   };
 
   Report report("Table II: Latency Breakdown (ms)");
   report.columns({"Component", "Paper", "Measured"});
-  report.row({"Binding Query", "2.41 +/- 0.97", fmt_pair(pcp.binding_latency_ms())});
-  report.row({"Policy Query", "2.52 +/- 0.85", fmt_pair(pcp.policy_latency_ms())});
-  report.row({"Other PCP Processing", "0.39 +/- 0.27", fmt_pair(pcp.other_latency_ms())});
-  report.row({"Proxy", "0.16 +/- 0.72", fmt_pair(bench.dfi().proxy().latency_ms())});
+  report.row({"Binding Query", "2.41 +/- 0.97", fmt_pair(timing.binding_latency_ms())});
+  report.row({"Policy Query", "2.52 +/- 0.85", fmt_pair(timing.policy_latency_ms())});
+  report.row({"Other PCP Processing", "0.39 +/- 0.27", fmt_pair(timing.other_latency_ms())});
+  report.row({"Proxy", "0.16 +/- 0.72", fmt_pair(timing.proxy_latency_ms())});
   report.row({"Overall", "5.73 +/- 3.39", fmt_pair(overall)});
   report.note("overall measured end-to-end at the emulated switch (packet-in -> rule)");
   report.print();

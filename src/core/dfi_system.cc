@@ -1,16 +1,37 @@
 #include "core/dfi_system.h"
 
 #include "core/journal.h"
+#include "sim/paper_timing.h"
 
 namespace dfi {
+namespace {
+
+// In-process sessions defer every delivery: through the model's proxy
+// delay when there is one, at zero delay on the simulator otherwise.
+DfiProxy::DeferFn make_defer(Simulator& sim, PaperTiming* timing) {
+  if (timing != nullptr) {
+    return [timing](std::function<void()> deliver) { timing->delay(std::move(deliver)); };
+  }
+  return [&sim](std::function<void()> deliver) {
+    sim.schedule_after(SimDuration{}, std::move(deliver));
+  };
+}
+
+}  // namespace
 
 DfiSystem::DfiSystem(Simulator& sim, MessageBus& bus, DfiConfig config)
     : sim_(sim),
       bus_(bus),
+      timing_(config.timing.enabled
+                  ? std::make_unique<PaperTiming>(sim, config.pcp.shards,
+                                                  config.pcp.queue_capacity,
+                                                  config.timing.service_scale,
+                                                  config.seed)
+                  : nullptr),
       erm_(bus),
       policy_manager_(bus),
-      pcp_(sim, bus, erm_, policy_manager_, config.pcp, Rng(config.seed)),
-      proxy_(sim, pcp_, config.proxy, Rng(config.seed ^ 0x9e3779b97f4a7c15ull)),
+      pcp_(sim, bus, erm_, policy_manager_, config.pcp, timing_.get()),
+      proxy_(pcp_, make_defer(sim, timing_.get())),
       sensors_(bus),
       health_(sim, bus, config.health, Rng(config.seed ^ 0xc2b2ae3d27d4eb4full)) {
   proxy_.attach_health(&health_);
@@ -21,10 +42,11 @@ DfiSystem::DfiSystem(Simulator& sim, MessageBus& bus, DfiConfig config)
   });
 }
 
+DfiSystem::~DfiSystem() = default;
+
 void DfiSystem::pump() {
   sim_.run();
   pcp_.wait_idle();
-  proxy_.flush_egress();
   sim_.run();
 }
 

@@ -31,19 +31,29 @@ namespace dfi {
 
 class Journal;
 class FileJournalStore;
+class PaperTiming;
 struct JournalRecovery;
+
+// The paper's timing model (sim/paper_timing.h): Table II latency draws
+// and the Section V-A service stations.
+struct TimingConfig {
+  bool enabled = true;
+  // Scales the modelled PCP service times: 1.0 for Table I/II, 1.8 for
+  // the Fig. 4 end-to-end path (harness/ttfb.h).
+  double service_scale = 1.0;
+};
 
 struct DfiConfig {
   PcpConfig pcp;
-  ProxyConfig proxy;
+  TimingConfig timing;
   HealthConfig health;
   std::uint64_t seed = 0xdf1df1df1ull;
 
-  // Convenience: zero out all modeled latencies (functional tests).
+  // No timing model: decisions inline, no modelled delays. What the live
+  // socket path and the functional tests run.
   static DfiConfig functional() {
     DfiConfig config;
-    config.pcp.zero_latency = true;
-    config.proxy.zero_latency = true;
+    config.timing.enabled = false;
     return config;
   }
 };
@@ -53,6 +63,7 @@ class DfiSystem {
   // `bus` is the deployment's message bus, shared with the data-plane
   // services whose sensors feed the ERM; it must outlive this object.
   DfiSystem(Simulator& sim, MessageBus& bus, DfiConfig config = {});
+  ~DfiSystem();
 
   DfiSystem(const DfiSystem&) = delete;
   DfiSystem& operator=(const DfiSystem&) = delete;
@@ -65,13 +76,14 @@ class DfiSystem {
   DfiProxy& proxy() { return proxy_; }
   SensorSuite& sensors() { return sensors_; }
   HealthMonitor& health() { return health_; }
+  // The paper's timing model; null for a functional config.
+  PaperTiming* timing() { return timing_.get(); }
 
-  // Drain everything that is ready to run right now: deliver deferred
-  // proxy frames, wait out in-flight PCP decisions, then flush coalesced
-  // egress and deliver what that produced. The socket frontend
-  // (src/net/asyncio/frontend.cc) calls this at read-batch boundaries so a
-  // wall-clock transport drives the simulated control plane exactly the
-  // way the in-process drain loop does.
+  // Drain everything that is ready to run right now: run due simulator
+  // events (modelled decisions, deferred in-process deliveries), wait out
+  // in-flight threaded decisions, then run what their effects deferred.
+  // The socket frontend (src/net/asyncio/frontend.cc) calls this at
+  // read-batch boundaries; on the live path it finds nothing to do.
   void pump();
 
   // Attach `journal` as the durable write-ahead log: every PolicyManager
@@ -96,6 +108,8 @@ class DfiSystem {
  private:
   Simulator& sim_;
   MessageBus& bus_;
+  // Declared before the PCP and proxy that hold it as their TimingHook.
+  std::unique_ptr<PaperTiming> timing_;
   EntityResolutionManager erm_;
   PolicyManager policy_manager_;
   PolicyCompilationPoint pcp_;

@@ -12,14 +12,14 @@ namespace dfi {
 PolicyCompilationPoint::PolicyCompilationPoint(Simulator& sim, MessageBus& bus,
                                                EntityResolutionManager& erm,
                                                PolicyManager& policy,
-                                               PcpConfig config, Rng rng)
+                                               PcpConfig config, TimingHook* timing)
     : sim_(sim),
       bus_(bus),
       erm_(erm),
       policy_(policy),
       config_(config),
-      rng_(rng),
-      pool_(sim, config),
+      timing_(timing),
+      pool_(config),
       flush_subscription_(bus.subscribe<FlushDirective>(
           topics::kRuleFlush,
           [this](const FlushDirective& directive) { flush(directive); })) {
@@ -27,16 +27,6 @@ PolicyCompilationPoint::PolicyCompilationPoint(Simulator& sim, MessageBus& bus,
   for (std::size_t i = 0; i < pool_.shards(); ++i) {
     caches_.push_back(std::make_unique<DecisionCache<PcpDecision>>(
         config_.decision_cache_capacity));
-  }
-  if (!config_.zero_latency) {
-    // Table II calibration: derive the log-normal parameters once here
-    // rather than from the mean/sd on every handle_packet_in.
-    binding_service_ = LogNormalParams::from_moments(config_.binding_query_mean_ms,
-                                                     config_.binding_query_sd_ms);
-    policy_service_ = LogNormalParams::from_moments(config_.policy_query_mean_ms,
-                                                    config_.policy_query_sd_ms);
-    other_service_ =
-        LogNormalParams::from_moments(config_.other_mean_ms, config_.other_sd_ms);
   }
   if (config_.wildcard_caching) {
     // Identity-derived cached rules depend on the bindings used to narrow
@@ -90,42 +80,21 @@ DecisionSnapshots PolicyCompilationPoint::capture_snapshots() const {
   return DecisionSnapshots{erm_.snapshot_view(), policy_.snapshot_view()};
 }
 
-bool PolicyCompilationPoint::submit_simulated_one(Dpid dpid, PacketInMsg msg,
-                                                  DecisionCallback done) {
-  ++stats_.packet_ins;
-
-  // Sample the simulated cost of this decision's subtasks (Table II). The
-  // draws stay here, before shard routing, so the per-packet draw sequence
-  // is independent of the shard count (shards=1 replays PR-1 exactly).
-  double binding_ms = 0.0, policy_ms = 0.0, other_ms = 0.0;
-  if (!config_.zero_latency) {
-    binding_ms = rng_.lognormal(binding_service_);
-    policy_ms = rng_.lognormal(policy_service_);
-    other_ms = rng_.lognormal(other_service_);
-  }
-  const double total_ms = binding_ms + policy_ms + other_ms;
-
+bool PolicyCompilationPoint::admit_modelled(BatchItem& item) {
   // Parse once, on the control thread: the canonical flow tuple both keys
-  // the decision cache and pins the flow to its shard.
-  DecisionInput input = make_decision_input(dpid, msg);
+  // the decision cache and pins the flow to its shard. The model draws the
+  // service times before shard routing, so the draw sequence is independent
+  // of the shard count (shards=1 replays the single PCP exactly).
+  DecisionInput input = make_decision_input(item.dpid, item.msg);
   const std::size_t shard = pool_.shard_of(input.flow_key);
-
   // Decision-time context capture: the DES serializes everything, so
   // running the sensor + snapshot capture when service *completes* makes
   // each completion exactly one step of the single-threaded oracle.
-  const bool accepted = pool_.submit_simulated(
-      shard, [total_ms]() { return milliseconds(total_ms); },
-      [this, dpid, input = std::move(input), done = std::move(done),
-       binding_ms, policy_ms, other_ms, total_ms](SimTime, SimTime) mutable {
-        binding_latency_ms_.add(binding_ms);
-        policy_latency_ms_.add(policy_ms);
-        other_latency_ms_.add(other_ms);
-        total_latency_ms_.add(total_ms);
-        const DecisionEffects effects = decide_from_input(input);
-        apply_effects(dpid, effects, done);
-      });
-  if (!accepted) ++stats_.dropped_overload;
-  return accepted;
+  return timing_->admit(shard, [this, dpid = item.dpid, input = std::move(input),
+                                done = std::move(item.done)]() mutable {
+    const DecisionEffects effects = decide_from_input(input);
+    apply_effects(dpid, effects, done);
+  });
 }
 
 std::size_t PolicyCompilationPoint::submit_threaded_batch(BatchItem* items,
@@ -146,15 +115,9 @@ std::size_t PolicyCompilationPoint::submit_threaded_batch(BatchItem* items,
     BatchItem& item = items[i];
     ++stats_.packet_ins;
 
-    // Table II draws, per item and before shard routing, in the same order
-    // as per-packet submission (see submit_simulated_one).
-    double binding_ms = 0.0, policy_ms = 0.0, other_ms = 0.0;
-    if (!config_.zero_latency) {
-      binding_ms = rng_.lognormal(binding_service_);
-      policy_ms = rng_.lognormal(policy_service_);
-      other_ms = rng_.lognormal(other_service_);
-    }
-    const double total_ms = binding_ms + policy_ms + other_ms;
+    // The modelled blocking, drawn per item before shard routing in
+    // submission order.
+    const double blocking_ms = timing_ != nullptr ? timing_->draw_blocking_ms() : 0.0;
 
     DecisionInput input = make_decision_input(item.dpid, item.msg);
     const std::size_t shard = pool_.shard_of(input.flow_key);
@@ -171,28 +134,22 @@ std::size_t PolicyCompilationPoint::submit_threaded_batch(BatchItem* items,
     item.accepted = pool_.submit_threaded(
         shard,
         [this, ctx, dpid = item.dpid, shard, input = std::move(input),
-         done = std::move(item.done), binding_ms, policy_ms, other_ms,
-         total_ms]() mutable -> std::function<void()> {
-          if (total_ms > 0.0) {
+         done = std::move(item.done), blocking_ms]() mutable -> std::function<void()> {
+          if (blocking_ms > 0.0) {
             // The paper's PCP spends its Table II service time blocked on
             // component queries (IPC to the ERM and Policy Manager), not on
             // CPU. Model that as real blocking time so wall-clock
             // throughput scales with the number of in-flight decisions,
-            // exactly like the simulated backend's service stations.
+            // exactly like the model's service stations.
             std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(total_ms));
+                std::chrono::duration<double, std::milli>(blocking_ms));
           }
           DecisionEffects effects =
               decide_on_snapshots(input, ctx->snapshots, *caches_[shard], config_);
           return [this, dpid, input = std::move(input),
                   effects = std::move(effects), done = std::move(done),
                   policy_epoch = ctx->policy_epoch,
-                  binding_epoch = ctx->binding_epoch, binding_ms, policy_ms,
-                  other_ms, total_ms]() mutable {
-            binding_latency_ms_.add(binding_ms);
-            policy_latency_ms_.add(policy_ms);
-            other_latency_ms_.add(other_ms);
-            total_latency_ms_.add(total_ms);
+                  binding_epoch = ctx->binding_epoch]() mutable {
             if (input.packet.has_value()) {
               observe_mac_location(dpid, input.in_port, input.packet->eth.src);
             }
@@ -242,31 +199,43 @@ void PolicyCompilationPoint::wait_idle() {
 
 bool PolicyCompilationPoint::handle_packet_in(Dpid dpid, PacketInMsg msg,
                                               DecisionCallback done) {
-  if (pool_.backend() == PcpBackend::kSimulated) {
-    return submit_simulated_one(dpid, std::move(msg), std::move(done));
-  }
-  // Threaded: a batch of one through the shared batch path, so per-packet
-  // and batched submission are the same code (and provably byte-identical).
   BatchItem item{dpid, std::move(msg), std::move(done)};
-  submit_threaded_batch(&item, 1);
+  submit(&item, 1, 0);
   return item.accepted;
 }
 
 std::size_t PolicyCompilationPoint::handle_packet_in_batch(
-    std::vector<BatchItem>& items) {
-  if (items.empty()) return 0;
-  if (pool_.backend() == PcpBackend::kSimulated) {
-    // The DES serializes everything; batching has nothing to hoist. Loop
-    // the per-item path so Table I stays bit-for-bit.
-    std::size_t accepted = 0;
-    for (BatchItem& item : items) {
-      item.accepted =
-          submit_simulated_one(item.dpid, std::move(item.msg), std::move(item.done));
-      if (item.accepted) ++accepted;
+    std::vector<BatchItem>& items, std::size_t admitted) {
+  return submit(items.data(), items.size(), admitted);
+}
+
+std::size_t PolicyCompilationPoint::submit(BatchItem* items, std::size_t count,
+                                           std::size_t admitted) {
+  if (count == 0) return 0;
+  // Threaded: per-packet and batched submission share the batch path, so
+  // they are the same code (and provably byte-identical).
+  if (pool_.backend() == PcpBackend::kThreads) return submit_threaded_batch(items, count);
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    BatchItem& item = items[i];
+    ++stats_.packet_ins;
+    if (timing_ != nullptr) {
+      item.accepted = admit_modelled(item);
+    } else {
+      item.accepted = admitted + accepted < config_.queue_capacity;
+      if (item.accepted) {
+        // The live path: the oracle's steps (see decide()), here and now.
+        DecisionInput input = make_decision_input(item.dpid, item.msg);
+        apply_effects(item.dpid, decide_from_input(input), item.done);
+      }
     }
-    return accepted;
+    if (item.accepted) {
+      ++accepted;
+    } else {
+      ++stats_.dropped_overload;
+    }
   }
-  return submit_threaded_batch(items.data(), items.size());
+  return accepted;
 }
 
 DecisionEffects PolicyCompilationPoint::decide_from_input(DecisionInput& input) {

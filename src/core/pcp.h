@@ -25,11 +25,12 @@
 // (stats, bus publishes, rule installation, callbacks) on the control
 // thread, and preserves the pre-split public API.
 //
-// Capacity model: requests are served by bounded worker pools (paper
-// Section V-A: saturation at ~1350 flows/sec, bounded queue, drops past
-// saturation). Component latencies are sampled from log-normal
-// distributions calibrated to Table II. With the default
-// shards=1/kSimulated backend this is exactly the paper's single PCP.
+// Timing: the PCP holds no latency model of its own. Given the paper's
+// timing model (a TimingHook; sim/paper_timing.h), each Packet-in waits in
+// its shard's modelled service station (Section V-A capacity, Table II
+// service times) and shards=1/kSimulated is exactly the paper's single
+// PCP. Without one — the live path — a control-thread Packet-in is decided
+// inline at submission.
 #pragma once
 
 #include <cstdint>
@@ -42,16 +43,14 @@
 #include <vector>
 
 #include "bus/message_bus.h"
-#include "common/rng.h"
 #include "core/decision_cache.h"
 #include "core/entity_resolution.h"
 #include "core/pcp_decide.h"
 #include "core/pcp_shard_pool.h"
 #include "core/policy_manager.h"
+#include "core/timing_hook.h"
 #include "openflow/messages.h"
-#include "sim/service_station.h"
 #include "sim/simulator.h"
-#include "sim/stats.h"
 
 namespace dfi {
 
@@ -84,9 +83,11 @@ class PolicyCompilationPoint {
   using SwitchWriter = std::function<void(const OfMessage&)>;
   using DecisionCallback = std::function<void(const PcpDecision&)>;
 
+  // `timing` is the paper's timing model, or null for the live path. It
+  // must outlive this object.
   PolicyCompilationPoint(Simulator& sim, MessageBus& bus,
                          EntityResolutionManager& erm, PolicyManager& policy,
-                         PcpConfig config, Rng rng);
+                         PcpConfig config, TimingHook* timing = nullptr);
 
   // The proxy registers a direct writer to each switch's control channel.
   void register_switch(Dpid dpid, SwitchWriter writer);
@@ -99,12 +100,12 @@ class PolicyCompilationPoint {
   // current state. Counts one resync_clear per switch.
   void resync_all();
 
-  // Queue a Packet-in for processing. Returns false when the bounded shard
-  // queue rejects it (control-plane saturation): the packet is dropped and
-  // the flow must re-enter on retransmission. On completion the compiled
-  // rule has been written to the switch and `done` is invoked — in the DES
-  // for the simulated backend, during poll_completions()/wait_idle() for
-  // the threaded one.
+  // Submit one Packet-in. Returns false when admission rejects it
+  // (control-plane saturation): the packet is dropped and the flow must
+  // re-enter on retransmission. On completion the compiled rule has been
+  // written to the switch and `done` is invoked — before this returns on
+  // the inline path, at the modelled completion with the paper's model,
+  // during poll_completions()/wait_idle() for the threaded backend.
   bool handle_packet_in(Dpid dpid, PacketInMsg msg, DecisionCallback done);
 
   // One Packet-in of a batch submission (handle_packet_in_batch). The PCP
@@ -123,15 +124,24 @@ class PolicyCompilationPoint {
   // snapshot pair ONCE for the whole batch and workers borrow it by plain
   // pointer for the batch lifetime, so the per-packet shared_ptr refcount
   // bumps disappear from the submit loop (DESIGN.md §5, batched datapath).
-  // The simulated backend loops the per-item path — batching is a no-op
+  // The kSimulated backend loops the per-item path — batching is a no-op
   // there by construction, keeping Table I bit-for-bit. Returns how many
   // items were accepted.
-  std::size_t handle_packet_in_batch(std::vector<BatchItem>& items);
+  //
+  // Inline admission bound (DESIGN.md §9): `admitted` is how many
+  // Packet-ins the caller's current read batch already had admitted, since
+  // one read batch may reach the PCP as several runs. The inline path
+  // admits only while that count is below queue_capacity, so one read
+  // batch never holds the control thread for more than queue_capacity
+  // decisions; the rest are dropped as overload. The modelled and threaded
+  // paths bound admission by their queues instead.
+  std::size_t handle_packet_in_batch(std::vector<BatchItem>& items,
+                                     std::size_t admitted = 0);
 
   // Synchronous decision core (no queueing/latency): capture snapshots,
   // decide, apply effects, all inline on the calling thread. The
   // single-threaded oracle the sharded backends are differential-tested
-  // against; also used by tests and the insert-time-binding ablation.
+  // against, and the live path's inline decision.
   PcpDecision decide(Dpid dpid, const PacketInMsg& msg);
 
   // Threaded backend only: release finished decisions' effects on the
@@ -159,14 +169,7 @@ class PolicyCompilationPoint {
   std::size_t decision_cache_size() const;
 
   std::size_t shard_count() const { return pool_.shards(); }
-  std::size_t queue_depth() const { return pool_.queue_depth(); }
   const PcpShardPool& pool() const { return pool_; }
-
-  // Per-component simulated latency, for the Table II reproduction.
-  const SampleStats& binding_latency_ms() const { return binding_latency_ms_; }
-  const SampleStats& policy_latency_ms() const { return policy_latency_ms_; }
-  const SampleStats& other_latency_ms() const { return other_latency_ms_; }
-  const SampleStats& total_latency_ms() const { return total_latency_ms_; }
 
  private:
   // Snapshot pair shared by every job of one threaded batch. Workers
@@ -184,17 +187,20 @@ class PolicyCompilationPoint {
     std::unique_ptr<BatchContext> context;
   };
 
-  // Threaded submission of `count` items sharing one BatchContext; sets
-  // each item's `accepted`, returns how many were accepted.
+  // Both public submission paths: sets each item's `accepted`, returns how
+  // many were accepted (see handle_packet_in_batch for `admitted`).
+  std::size_t submit(BatchItem* items, std::size_t count, std::size_t admitted);
+  // Threaded submission of `count` items sharing one BatchContext.
   std::size_t submit_threaded_batch(BatchItem* items, std::size_t count);
-  // Simulated per-item submission (the pre-batching handle_packet_in body).
-  bool submit_simulated_one(Dpid dpid, PacketInMsg msg, DecisionCallback done);
+  // Admit one item to the timing model's station; it is decided when its
+  // modelled service completes.
+  bool admit_modelled(BatchItem& item);
   // Free batch contexts whose jobs have all applied or been abandoned.
   void retire_batches();
 
   // Decision-time context + pure decide, in oracle order: sensor first,
   // then snapshot capture, then decide_on_snapshots against the shard's
-  // cache. Shared by decide() and the simulated backend's completions.
+  // cache. Shared by decide() and the modelled completions.
   DecisionEffects decide_from_input(DecisionInput& input);
 
   // Apply a finished decision's side effects on the control thread: stats,
@@ -214,12 +220,7 @@ class PolicyCompilationPoint {
   EntityResolutionManager& erm_;
   PolicyManager& policy_;
   PcpConfig config_;
-  Rng rng_;
-  // Table II service-time distributions, derived once from the configured
-  // moments instead of per Packet-in.
-  LogNormalParams binding_service_{};
-  LogNormalParams policy_service_{};
-  LogNormalParams other_service_{};
+  TimingHook* timing_;
   // Live batch contexts in submission order (front retires first).
   // Declared before pool_ on purpose: members destroy in reverse order, so
   // the pool joins its workers — the only other readers of a context —
@@ -227,8 +228,8 @@ class PolicyCompilationPoint {
   std::deque<PendingBatch> batches_;
   PcpShardPool pool_;
   // One decision cache per shard; a flow's hash pins it to one shard, so
-  // each cache is touched only by that shard's execution context (the DES
-  // thread for kSimulated, the shard's worker for kThreads).
+  // each cache is touched only by that shard's execution context (the
+  // control thread for kSimulated, the shard's worker for kThreads).
   std::vector<std::unique_ptr<DecisionCache<PcpDecision>>> caches_;
   // Control-thread-only scratch cache (capacity 0: lookups miss, stores are
   // dropped) for re-deciding stale threaded completions without touching a
@@ -244,11 +245,6 @@ class PolicyCompilationPoint {
   // bindings; flushed when bindings are retracted.
   std::set<PolicyRuleId> identity_cached_policies_;
   PcpStats stats_;
-
-  SampleStats binding_latency_ms_;
-  SampleStats policy_latency_ms_;
-  SampleStats other_latency_ms_;
-  SampleStats total_latency_ms_;
 };
 
 }  // namespace dfi

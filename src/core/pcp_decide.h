@@ -8,8 +8,9 @@
 // stateful (the MAC-location sensor, stats counters, rule installation, the
 // done callback) is described by the returned DecisionEffects and applied
 // by the stateful PCP shell, which lets the same decision function run
-//   * synchronously on the control thread (the single-PCP oracle),
-//   * inside deterministic-simulator shard stations, and
+//   * synchronously on the control thread (the single-PCP oracle and the
+//     live inline path),
+//   * at the modelled completion of the paper's service stations, and
 //   * on real worker threads (core/pcp_shard_pool.h),
 // with byte-identical verdicts and rules.
 //
@@ -31,43 +32,36 @@
 
 namespace dfi {
 
-// Which execution backend the PCP shard pool runs decisions on.
+// Where the PCP runs decisions.
 enum class PcpBackend {
-  // Shards are parallel deterministic-simulator service stations; service
-  // times are sampled from the Table II distributions. shards=1 is exactly
-  // the paper's single-PCP capacity model.
+  // On the control thread. Without a timing model (the live path) a
+  // Packet-in is decided inline at submission; with the paper's model
+  // (sim/paper_timing.h) it waits in its shard's modelled service station
+  // and is decided when its Table II service time has elapsed.
   kSimulated,
-  // Shards are real std::thread workers measuring wall-clock decision
-  // latency; simulated service times do not apply.
+  // On one std::thread worker per shard (core/pcp_shard_pool.h); effects
+  // apply on the control thread in submission order. With the paper's
+  // model each worker first blocks for its decision's Table II draw.
   kThreads,
 };
 
 struct PcpConfig {
-  // Capacity (paper Section V-A calibration — see DESIGN.md §5): 7 workers
-  // at ~5.3 ms mean service time saturate near the paper's ~1350 flows/sec.
-  std::size_t workers = 7;
+  // Admission bound per shard. The paper's model queues this many jobs
+  // past its busy workers; the threaded backend sizes its ingress rings
+  // with it; the inline path admits at most this many Packet-ins from one
+  // session's read batch (DESIGN.md §9).
   std::size_t queue_capacity = 32;
 
   // Scale-out (DESIGN.md §5): Packet-ins are partitioned across this many
   // logical PCP shards by canonical-flow-tuple hash. Each shard is a full
-  // capacity unit (its own worker pool / thread, bounded queue, and
-  // decision cache). 1 reproduces the paper's single-PCP behavior exactly.
+  // capacity unit (its own modelled station or worker thread, bounded
+  // queue, and decision cache). 1 reproduces the paper's single PCP.
   std::size_t shards = 1;
   PcpBackend backend = PcpBackend::kSimulated;
 
   // Flow-rule shape.
   std::uint16_t rule_priority = 100;
   std::uint8_t controller_first_table = 1;  // allow -> goto this table
-
-  // Component service times in ms (paper Table II). Set zero_latency for
-  // functional tests where timing is irrelevant.
-  double binding_query_mean_ms = 2.41;
-  double binding_query_sd_ms = 0.97;
-  double policy_query_mean_ms = 2.52;
-  double policy_query_sd_ms = 0.85;
-  double other_mean_ms = 0.39;
-  double other_sd_ms = 0.27;
-  bool zero_latency = false;
 
   // Extension (paper Section III-B future work, CAB-ACME): install safe
   // wildcard generalizations of the deciding policy instead of one
@@ -77,9 +71,9 @@ struct PcpConfig {
   // Decision cache (core/decision_cache.h): replay a prior decision for an
   // identical flow tuple when neither the policy epoch nor the binding
   // epoch has moved since it was derived. 0 disables. This trims real CPU
-  // from the hot path only; the *simulated* Table II service times above
-  // are sampled regardless, so calibrated latency/throughput shapes
-  // (Table I, Fig. 4) are unchanged.
+  // from the hot path only; the paper's model draws its Table II service
+  // times regardless, so calibrated latency/throughput shapes (Table I,
+  // Fig. 4) are unchanged.
   std::size_t decision_cache_capacity = 8192;
 
   // kThreads only: pin each shard's worker to core (shard mod

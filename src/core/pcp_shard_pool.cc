@@ -11,26 +11,19 @@
 
 namespace dfi {
 
-PcpShardPool::PcpShardPool(Simulator& sim, const PcpConfig& config)
+PcpShardPool::PcpShardPool(const PcpConfig& config)
     : backend_(config.backend),
       shards_(std::max<std::size_t>(1, config.shards)),
       queue_capacity_(config.queue_capacity),
       pin_workers_(config.pin_workers) {
-  if (backend_ == PcpBackend::kSimulated) {
-    stations_.reserve(shards_);
-    for (std::size_t i = 0; i < shards_; ++i) {
-      stations_.push_back(std::make_unique<ServiceStation>(
-          sim, config.workers, config.queue_capacity));
-    }
-  } else {
-    thread_shards_.reserve(shards_);
-    for (std::size_t i = 0; i < shards_; ++i) {
-      thread_shards_.push_back(std::make_unique<ThreadShard>(i, queue_capacity_));
-    }
-    // Start workers only after every shard exists: a worker never touches
-    // the vector, but symmetry with the destructor keeps this obvious.
-    for (auto& shard : thread_shards_) spawn_worker(*shard);
+  if (backend_ != PcpBackend::kThreads) return;
+  thread_shards_.reserve(shards_);
+  for (std::size_t i = 0; i < shards_; ++i) {
+    thread_shards_.push_back(std::make_unique<ThreadShard>(i, queue_capacity_));
   }
+  // Start workers only after every shard exists: a worker never touches
+  // the vector, but symmetry with the destructor keeps this obvious.
+  for (auto& shard : thread_shards_) spawn_worker(*shard);
 }
 
 PcpShardPool::~PcpShardPool() {
@@ -61,12 +54,6 @@ void PcpShardPool::spawn_worker(ThreadShard& shard) {
 #endif
     worker_loop(shard);
   });
-}
-
-bool PcpShardPool::submit_simulated(std::size_t shard,
-                                    ServiceStation::ServiceTimeFn service_time,
-                                    ServiceStation::DoneFn on_done) {
-  return stations_[shard]->submit(std::move(service_time), std::move(on_done));
 }
 
 bool PcpShardPool::submit_threaded(std::size_t shard, ThreadWork work) {
@@ -164,11 +151,7 @@ void PcpShardPool::worker_loop(ThreadShard& shard) {
       kill_worker(shard, job.seq);
       return;
     }
-    const auto start = std::chrono::steady_clock::now();
     std::function<void()> apply = job.work();
-    const auto end = std::chrono::steady_clock::now();
-    shard.latency_us.add(
-        std::chrono::duration<double, std::micro>(end - start).count());
     if (fault == WorkerFault::kKillAfterDecide) {
       // The decision ran (the shard's cache may have stored it) but the
       // completion is never published: crash in the publish window.
@@ -281,13 +264,6 @@ void PcpShardPool::wait_idle() {
     done_cv_.wait(lock, [&] { return completions_pending(); });
     control_waiting_.store(false);
   }
-}
-
-std::size_t PcpShardPool::queue_depth() const {
-  std::size_t depth = 0;
-  for (const auto& station : stations_) depth += station->queue_depth();
-  for (const auto& shard : thread_shards_) depth += shard->ingress.size();
-  return depth;
 }
 
 }  // namespace dfi

@@ -2,28 +2,23 @@
 //
 // The pool partitions Packet-ins across N logical PCP shards (the caller
 // routes by canonical-flow-tuple hash, so one flow always lands on one
-// shard — and therefore one decision cache). Each shard is a full capacity
-// unit; two interchangeable backends implement it:
+// shard — and therefore one decision cache). For the kThreads backend each
+// shard is one std::thread worker fed by a pair of bounded lock-free SPSC
+// rings (common/spsc_ring.h): an ingress ring the control thread pushes
+// jobs into, and a completion ring the worker pushes finished "apply"
+// closures into, drained by the control thread. No mutex is taken on the
+// per-packet path; the per-shard mutex and the global done_mu_ exist only
+// to park idle/backpressured threads, and are touched exclusively through
+// an armed-sleeper flag handshake (see spsc_ring.h's ordering notes). Apply
+// closures are released back to the control thread strictly in submission
+// order via a sequence-numbered reorder buffer, so all side effects —
+// stats, bus publishes, rule installation, done callbacks — happen
+// single-threaded and in a deterministic order regardless of how worker
+// execution interleaves.
 //
-//   * kSimulated — one deterministic-simulator ServiceStation per shard.
-//     Everything still runs on the single DES thread; shards model parallel
-//     *capacity*, not parallel execution, so shards=1 is bit-identical to
-//     the paper-calibrated single-PCP model (Table I / Fig. 4) and any N
-//     stays deterministic.
-//
-//   * kThreads — one std::thread worker per shard fed by a pair of bounded
-//     lock-free SPSC rings (common/spsc_ring.h): an ingress ring the
-//     control thread pushes jobs into, and a completion ring the worker
-//     pushes finished "apply" closures into, drained by the control thread.
-//     No mutex is taken on the per-packet path; the per-shard mutex and the
-//     global done_mu_ exist only to park idle/backpressured threads, and
-//     are touched exclusively through an armed-sleeper flag handshake (see
-//     spsc_ring.h's ordering notes). Apply closures are released back to
-//     the control thread strictly in submission order via a
-//     sequence-numbered reorder buffer, so all side effects — stats, bus
-//     publishes, rule installation, done callbacks — happen single-threaded
-//     and in a deterministic order regardless of how worker execution
-//     interleaves.
+// For the kSimulated backend the pool starts no workers and only routes:
+// the PCP decides on the control thread (inline, or at the completion of
+// the paper model's service station — sim/paper_timing.h).
 //
 // The pool is pure transport: it never inspects packets, snapshots, or
 // decisions. The PCP shell decides what runs where (core/pcp.cc).
@@ -43,9 +38,6 @@
 #include "common/spsc_ring.h"
 #include "core/decision_cache.h"
 #include "core/pcp_decide.h"
-#include "sim/service_station.h"
-#include "sim/simulator.h"
-#include "sim/stats.h"
 
 namespace dfi {
 
@@ -76,7 +68,7 @@ class PcpShardPool {
   // and seq) make worker crashes replayable.
   using WorkerFaultProbe = std::function<WorkerFault(std::size_t, std::uint64_t)>;
 
-  PcpShardPool(Simulator& sim, const PcpConfig& config);
+  explicit PcpShardPool(const PcpConfig& config);
   ~PcpShardPool();
 
   PcpShardPool(const PcpShardPool&) = delete;
@@ -91,21 +83,13 @@ class PcpShardPool {
     return mix64(FlowKeyHash{}(key)) % shards_;
   }
 
-  // --------------------------------------------------- simulated backend
-  // Submit to a shard's service station; `on_done` runs in the DES when
-  // service completes. Returns false when the shard's queue is full.
-  bool submit_simulated(std::size_t shard,
-                        ServiceStation::ServiceTimeFn service_time,
-                        ServiceStation::DoneFn on_done);
-
-  // ---------------------------------------------------- threaded backend
   // Enqueue work on a shard's worker. Control thread only. Returns false
   // when the shard's ingress ring is full (the caller counts the drop).
   bool submit_threaded(std::size_t shard, ThreadWork work);
 
   // Run apply closures of finished jobs, in submission order, stopping at
   // the first job still in flight. Control thread only. Returns how many
-  // were applied. No-op in the simulated backend.
+  // were applied. No-op for kSimulated.
   //
   // Fault recovery: jobs stranded on a dead shard (worker killed by the
   // fault probe) are executed inline on the control thread first, so the
@@ -143,17 +127,6 @@ class PcpShardPool {
   // Jobs killed by the probe: accepted but never applied.
   std::uint64_t jobs_abandoned() const { return jobs_abandoned_.load(); }
 
-  // Jobs accepted but not yet (simulated: dispatched; threaded: taken by a
-  // worker). Aggregated across shards.
-  std::size_t queue_depth() const;
-
-  // Wall-clock microseconds each decision spent executing on shard
-  // `shard`'s worker (threaded backend only). Read when idle: the stats are
-  // written by the worker thread.
-  const SampleStats& decision_latency_us(std::size_t shard) const {
-    return thread_shards_[shard]->latency_us;
-  }
-
  private:
   struct IngressJob {
     std::uint64_t seq = 0;
@@ -188,7 +161,6 @@ class PcpShardPool {
     std::atomic<bool> sleeping{false};
     std::mutex mu;
     std::condition_variable cv;
-    SampleStats latency_us;  // written by the worker thread only
     std::thread worker;
 
     ThreadShard(std::size_t idx, std::size_t queue_capacity)
@@ -222,9 +194,6 @@ class PcpShardPool {
   const std::size_t shards_;
   const std::size_t queue_capacity_;
   const bool pin_workers_;
-
-  // kSimulated: one station per shard (unique_ptr: stations are immovable).
-  std::vector<std::unique_ptr<ServiceStation>> stations_;
 
   // kThreads: workers + the submission-order reorder buffer.
   std::vector<std::unique_ptr<ThreadShard>> thread_shards_;

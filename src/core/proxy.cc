@@ -6,14 +6,8 @@
 
 namespace dfi {
 
-DfiProxy::DfiProxy(Simulator& sim, PolicyCompilationPoint& pcp, ProxyConfig config,
-                   Rng rng)
-    : sim_(sim), pcp_(pcp), config_(config), rng_(rng) {
-  if (!config_.zero_latency) {
-    latency_ =
-        LogNormalParams::from_moments(config_.latency_mean_ms, config_.latency_sd_ms);
-  }
-}
+DfiProxy::DfiProxy(PolicyCompilationPoint& pcp, DeferFn defer)
+    : pcp_(pcp), defer_(std::move(defer)) {}
 
 DfiProxy::~DfiProxy() {
   *alive_ = false;
@@ -45,22 +39,30 @@ const ProxyStats& DfiProxy::stats() const {
   return stats_;
 }
 
-DfiProxy::Session& DfiProxy::create_session(SendFn to_switch, SendFn to_controller) {
-  sessions_.push_back(
-      std::make_unique<Session>(*this, std::move(to_switch), std::move(to_controller)));
+DfiProxy::Session& DfiProxy::add_session() {
+  sessions_.push_back(std::make_unique<Session>(*this));
   return *sessions_.back();
+}
+
+DfiProxy::Session& DfiProxy::create_session(SendFn to_switch, SendFn to_controller) {
+  Session& session = add_session();
+  session.to_switch_ = std::move(to_switch);
+  session.to_controller_ = std::move(to_controller);
+  return session;
+}
+
+DfiProxy::Session& DfiProxy::create_socket_session(FrameSink to_switch,
+                                                   FrameSink to_controller) {
+  Session& session = add_session();
+  session.switch_sink_ = std::move(to_switch);
+  session.controller_sink_ = std::move(to_controller);
+  return session;
 }
 
 void DfiProxy::destroy_session(Session& session) {
   // Kill outstanding closures first: an in-flight PCP decision callback or
   // deferred delivery may fire after the erase below frees the session.
   *session.alive_ = false;
-  // A pending coalesced egress buffer dies with the session — undelivered,
-  // but returned to the pool so outstanding-buffer accounting stays exact.
-  if (session.pending_egress_active_) {
-    session.pending_egress_active_ = false;
-    pool_.release(std::move(session.pending_egress_));
-  }
   if (session.dpid_.has_value()) pcp_.unregister_switch(*session.dpid_);
   for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
     if (it->get() == &session) {
@@ -70,103 +72,32 @@ void DfiProxy::destroy_session(Session& session) {
   }
 }
 
-void DfiProxy::flush_egress() {
-  for (const auto& session : sessions_) session->flush_switch_egress();
-}
-
-void DfiProxy::after_proxy_delay(std::function<void()> deliver) {
-  double delay_ms = 0.0;
-  if (!config_.zero_latency) {
-    delay_ms = rng_.lognormal(latency_);
-  }
-  latency_ms_.add(delay_ms);
-  sim_.schedule_after(milliseconds(delay_ms), std::move(deliver));
-}
-
-DfiProxy::Session::Session(DfiProxy& proxy, SendFn to_switch, SendFn to_controller)
-    : proxy_(proxy), to_switch_(std::move(to_switch)),
-      to_controller_(std::move(to_controller)) {}
+DfiProxy::Session::Session(DfiProxy& proxy) : proxy_(proxy) {}
 
 void DfiProxy::Session::send_to_switch(const OfMessage& message) {
-  const auto bytes = encode(message);
-  to_switch_(bytes);
+  std::vector<std::uint8_t> frame = proxy_.pool_.acquire();
+  encode_into(message, frame);
+  emit(/*to_switch=*/true, std::move(frame));
 }
 
 void DfiProxy::Session::send_to_controller(const OfMessage& message) {
-  const auto bytes = encode(message);
-  to_controller_(bytes);
-}
-
-void DfiProxy::Session::defer_to_switch(OfMessage message) {
-  if (proxy_.config_.coalesce_egress) {
-    // Decided FlowMods (and every other switch-bound message) join the
-    // session's pending multi-frame write instead of paying a deferred
-    // delivery each. encode_scratch_ keeps its capacity across appends.
-    encode_into(message, encode_scratch_);
-    append_switch_bytes(encode_scratch_.data(), encode_scratch_.size());
-    return;
-  }
   std::vector<std::uint8_t> frame = proxy_.pool_.acquire();
   encode_into(message, frame);
-  defer_frame_to_switch(std::move(frame));
+  emit(/*to_switch=*/false, std::move(frame));
 }
 
-void DfiProxy::Session::defer_to_controller(OfMessage message) {
-  std::vector<std::uint8_t> frame = proxy_.pool_.acquire();
-  encode_into(message, frame);
-  defer_bytes_to_controller(std::move(frame));
-}
-
-void DfiProxy::Session::defer_bytes_to_switch(std::vector<std::uint8_t> frame) {
-  if (proxy_.config_.coalesce_egress) {
-    append_switch_bytes(frame.data(), frame.size());
-    proxy_.pool_.release(std::move(frame));
+void DfiProxy::Session::emit(bool to_switch, std::vector<std::uint8_t> frame) {
+  if (switch_sink_) {
+    (to_switch ? switch_sink_ : controller_sink_)(std::move(frame));
     return;
   }
-  defer_frame_to_switch(std::move(frame));
-}
-
-void DfiProxy::Session::append_switch_bytes(const std::uint8_t* data,
-                                            std::size_t size) {
-  if (!pending_egress_active_) {
-    pending_egress_ = proxy_.pool_.acquire();
-    pending_egress_active_ = true;
-  }
-  pending_egress_.insert(pending_egress_.end(), data, data + size);
-  // Watermark backpressure: one buffer never grows past roughly the
-  // configured bound, so a quiet flush_egress() caller still sees bounded
-  // per-session memory and the switch sees timely writes under load.
-  if (pending_egress_.size() >= proxy_.config_.egress_watermark_bytes) {
-    flush_switch_egress();
-  }
-}
-
-void DfiProxy::Session::flush_switch_egress() {
-  if (!pending_egress_active_) return;
-  pending_egress_active_ = false;
-  std::vector<std::uint8_t> out = std::move(pending_egress_);
-  pending_egress_ = {};
-  defer_frame_to_switch(std::move(out));
-}
-
-void DfiProxy::Session::defer_frame_to_switch(std::vector<std::uint8_t> frame) {
-  proxy_.after_proxy_delay([this, proxy = &proxy_, alive = alive_,
-                            proxy_alive = proxy_.alive_,
-                            out = std::move(frame)]() mutable {
+  proxy_.defer_([this, proxy = &proxy_, alive = alive_, proxy_alive = proxy_.alive_,
+                 to_switch, out = std::move(frame)]() mutable {
     // Severed session: nothing is delivered. Either way the pooled buffer
     // goes home through the captured proxy pointer, never `this` — the
-    // SendFn may request teardown of its own session (the socket frontend's
-    // overflow sever), after which `this` is untrusted.
-    if (*alive) to_switch_(out);
-    if (*proxy_alive) proxy->pool_.release(std::move(out));
-  });
-}
-
-void DfiProxy::Session::defer_bytes_to_controller(std::vector<std::uint8_t> frame) {
-  proxy_.after_proxy_delay([this, proxy = &proxy_, alive = alive_,
-                            proxy_alive = proxy_.alive_,
-                            out = std::move(frame)]() mutable {
-    if (*alive) to_controller_(out);
+    // SendFn may request teardown of its own session, after which `this`
+    // is untrusted.
+    if (*alive) (to_switch ? to_switch_ : to_controller_)(out);
     if (*proxy_alive) proxy->pool_.release(std::move(out));
   });
 }
@@ -185,14 +116,8 @@ void DfiProxy::Session::switch_batch_end() {
   // A Packet-in run never outlives its read batch: everything the switch
   // sent in this read is on its way to the PCP before control returns.
   flush_packet_ins();
-  // Same rule for the coalesced write side: whatever this read produced for
-  // the switch (handshake replies, resync clears, shifted mods) goes out at
-  // batch end, not at the next watermark crossing — a below-watermark
-  // handshake must not wedge waiting for unrelated traffic.
-  flush_switch_egress();
+  batch_admitted_ = 0;
 }
-
-void DfiProxy::Session::controller_batch_end() { flush_switch_egress(); }
 
 void DfiProxy::Session::switch_stream_corrupt() {
   ++proxy_.stats_.from_switch;
@@ -233,14 +158,13 @@ void DfiProxy::Session::from_controller(const std::vector<std::uint8_t>& chunk) 
     }
     controller_frame(view);
   }
-  controller_batch_end();
 }
 
 void DfiProxy::Session::fast_path_from_switch(const FrameView& view) {
   switch (classify(view, ProxyDirection::kSwitchToController, switch_num_tables_)) {
     case FrameClass::kPassThrough:
       ++proxy_.stats_.frames_fast_path;
-      defer_bytes_to_controller(proxy_.pool_.acquire_copy(view.data(), view.size()));
+      emit(/*to_switch=*/false, proxy_.pool_.acquire_copy(view.data(), view.size()));
       return;
     case FrameClass::kPatch: {
       if (view.type() == OfType::kFlowRemoved &&
@@ -258,7 +182,7 @@ void DfiProxy::Session::fast_path_from_switch(const FrameView& view) {
         break;  // revalidation failed: slow path decides on the original bytes
       }
       ++proxy_.stats_.frames_patched;
-      defer_bytes_to_controller(std::move(frame));
+      emit(/*to_switch=*/false, std::move(frame));
       return;
     }
     case FrameClass::kDecode:
@@ -278,7 +202,7 @@ void DfiProxy::Session::fast_path_from_controller(const FrameView& view) {
   switch (classify(view, ProxyDirection::kControllerToSwitch, switch_num_tables_)) {
     case FrameClass::kPassThrough:
       ++proxy_.stats_.frames_fast_path;
-      defer_bytes_to_switch(proxy_.pool_.acquire_copy(view.data(), view.size()));
+      emit(/*to_switch=*/true, proxy_.pool_.acquire_copy(view.data(), view.size()));
       return;
     case FrameClass::kPatch: {
       std::vector<std::uint8_t> frame =
@@ -290,7 +214,7 @@ void DfiProxy::Session::fast_path_from_controller(const FrameView& view) {
       }
       ++proxy_.stats_.frames_patched;
       if (view.type() == OfType::kFlowMod) ++proxy_.stats_.flow_mods_shifted;
-      defer_bytes_to_switch(std::move(frame));
+      emit(/*to_switch=*/true, std::move(frame));
       return;
     }
     case FrameClass::kDecode:
@@ -308,11 +232,11 @@ void DfiProxy::Session::fast_path_from_controller(const FrameView& view) {
 
 void DfiProxy::Session::flush_packet_ins() {
   if (pending_pins_.empty()) return;
-  proxy_.pcp_.handle_packet_in_batch(pending_pins_);
+  batch_admitted_ += proxy_.pcp_.handle_packet_in_batch(pending_pins_, batch_admitted_);
   for (const auto& item : pending_pins_) {
     if (!item.accepted) {
-      // PCP queue full: dropped exactly like a rejected handle_packet_in;
-      // the flow re-enters on endpoint retransmission (paper Section V-A).
+      // Admission rejected it (fail-secure: never forwarded undecided); the
+      // flow re-enters on endpoint retransmission (paper Section V-A).
       ++proxy_.stats_.packet_ins_suppressed;
     }
   }
@@ -320,9 +244,9 @@ void DfiProxy::Session::flush_packet_ins() {
 }
 
 void DfiProxy::Session::handle_switch_message(OfMessage message) {
-  // Packet-in batching collects *consecutive* table-0 Packet-ins only: any
-  // other message type flushes the pending run first, so the PCP sees
-  // submissions in exact arrival order.
+  // A run collects *consecutive* table-0 Packet-ins only: any other message
+  // type flushes the pending run first, so the PCP sees submissions in
+  // exact arrival order.
   if (!pending_pins_.empty()) {
     const auto* packet_in = std::get_if<PacketInMsg>(&message.payload);
     if (packet_in == nullptr || packet_in->table_id != 0) flush_packet_ins();
@@ -335,12 +259,12 @@ void DfiProxy::Session::handle_switch_message(OfMessage message) {
     dpid_ = features->datapath_id;
     switch_num_tables_ = features->n_tables;
     proxy_.pcp_.register_switch(*dpid_, [this, alive = alive_](const OfMessage& msg) {
-      if (*alive) defer_to_switch(msg);
+      if (*alive) send_to_switch(msg);
     });
     // Hide DFI's reserved table from the controller.
     FeaturesReplyMsg shifted = *features;
     if (shifted.n_tables > 0) --shifted.n_tables;
-    defer_to_controller(OfMessage{message.xid, shifted});
+    send_to_controller(OfMessage{message.xid, shifted});
     return;
   }
 
@@ -369,15 +293,18 @@ void DfiProxy::Session::handle_switch_message(OfMessage message) {
         }
         ++proxy_.stats_.degraded_forwarded;
         ++proxy_.stats_.packet_ins_forwarded;
-        defer_to_controller(OfMessage{message.xid, *packet_in});
+        send_to_controller(OfMessage{message.xid, *packet_in});
         return;
       }
       ++proxy_.stats_.packet_ins_to_pcp;
-      const std::uint32_t xid = message.xid;
-      // The decision callback delivers the allow verdict; identical for
-      // the per-packet and batched submission paths below.
-      auto on_decision = [this, alive = alive_, xid,
-                          original = *packet_in](const PcpDecision& decision) {
+      // Join the current run; the read batch's end (or the next
+      // non-Packet-in message) submits it to the PCP. The decision callback
+      // delivers the allow verdict.
+      PolicyCompilationPoint::BatchItem item;
+      item.dpid = *dpid_;
+      item.msg = *packet_in;
+      item.done = [this, alive = alive_, xid = message.xid,
+                   original = *packet_in](const PcpDecision& decision) {
         // Session torn down while the decision was in flight: nothing
         // to deliver and `this` may be gone — the token is the only
         // safe thing to touch.
@@ -389,31 +316,15 @@ void DfiProxy::Session::handle_switch_message(OfMessage message) {
         ++proxy_.stats_.packet_ins_forwarded;
         // Table 0 in the controller's shifted view is its own first
         // table, so table_id 0 is already correct after the allow.
-        defer_to_controller(OfMessage{xid, original});
+        send_to_controller(OfMessage{xid, original});
       };
-      if (proxy_.config_.batch_packet_ins) {
-        // Join the current run; from_switch (or the next non-Packet-in
-        // message) flushes it to handle_packet_in_batch.
-        PolicyCompilationPoint::BatchItem item;
-        item.dpid = *dpid_;
-        item.msg = *packet_in;
-        item.done = std::move(on_decision);
-        pending_pins_.push_back(std::move(item));
-        return;
-      }
-      const bool accepted = proxy_.pcp_.handle_packet_in(
-          *dpid_, PacketInMsg(*packet_in), std::move(on_decision));
-      if (!accepted) {
-        // PCP queue full: the packet-in is dropped entirely; the flow
-        // re-enters on endpoint retransmission (paper Section V-A).
-        ++proxy_.stats_.packet_ins_suppressed;
-      }
+      pending_pins_.push_back(std::move(item));
       return;
     }
     // Miss in a controller table: the flow already passed DFI's Table 0.
     PacketInMsg shifted = *packet_in;
     --shifted.table_id;
-    defer_to_controller(OfMessage{message.xid, shifted});
+    send_to_controller(OfMessage{message.xid, shifted});
     return;
   }
 
@@ -421,7 +332,7 @@ void DfiProxy::Session::handle_switch_message(OfMessage message) {
     if (removed->table_id == 0) return;  // DFI-internal; invisible to controller
     FlowRemovedMsg shifted = *removed;
     --shifted.table_id;
-    defer_to_controller(OfMessage{message.xid, shifted});
+    send_to_controller(OfMessage{message.xid, shifted});
     return;
   }
 
@@ -442,12 +353,12 @@ void DfiProxy::Session::handle_switch_message(OfMessage message) {
       }
       shifted.flow_stats.push_back(std::move(adjusted));
     }
-    defer_to_controller(OfMessage{message.xid, std::move(shifted)});
+    send_to_controller(OfMessage{message.xid, std::move(shifted)});
     return;
   }
 
   // Hello, Echo, Error, Barrier replies: pass through unchanged.
-  defer_to_controller(std::move(message));
+  send_to_controller(std::move(message));
 }
 
 void DfiProxy::Session::handle_controller_message(OfMessage message) {
@@ -466,13 +377,13 @@ void DfiProxy::Session::handle_controller_message(OfMessage message) {
             ++*per_table.instructions.goto_table;
           }
           ++proxy_.stats_.flow_mods_shifted;
-          defer_to_switch(OfMessage{message.xid, std::move(per_table)});
+          send_to_switch(OfMessage{message.xid, std::move(per_table)});
         }
         return;
       }
       // ADD/MODIFY to ALL is a controller bug; reject.
       ++proxy_.stats_.controller_errors;
-      defer_to_controller(OfMessage{
+      send_to_controller(OfMessage{
           message.xid, ErrorMsg{/*FLOW_MOD_FAILED*/ 5, /*BAD_TABLE_ID*/ 2, {}}});
       return;
     }
@@ -480,7 +391,7 @@ void DfiProxy::Session::handle_controller_message(OfMessage message) {
     if (shifted.table_id + 1 >= tables) {
       // The controller addressed a table beyond its shifted range.
       ++proxy_.stats_.controller_errors;
-      defer_to_controller(OfMessage{
+      send_to_controller(OfMessage{
           message.xid, ErrorMsg{/*FLOW_MOD_FAILED*/ 5, /*BAD_TABLE_ID*/ 2, {}}});
       return;
     }
@@ -489,7 +400,7 @@ void DfiProxy::Session::handle_controller_message(OfMessage message) {
       ++*shifted.instructions.goto_table;
     }
     ++proxy_.stats_.flow_mods_shifted;
-    defer_to_switch(OfMessage{message.xid, std::move(shifted)});
+    send_to_switch(OfMessage{message.xid, std::move(shifted)});
     return;
   }
 
@@ -498,12 +409,12 @@ void DfiProxy::Session::handle_controller_message(OfMessage message) {
     if (shifted.stats_type == kStatsTypeFlow && shifted.flow_request.table_id != 0xff) {
       ++shifted.flow_request.table_id;
     }
-    defer_to_switch(OfMessage{message.xid, std::move(shifted)});
+    send_to_switch(OfMessage{message.xid, std::move(shifted)});
     return;
   }
 
   // Hello, Echo, FeaturesRequest, PacketOut, Barrier: pass through.
-  defer_to_switch(std::move(message));
+  send_to_switch(std::move(message));
 }
 
 }  // namespace dfi

@@ -21,6 +21,13 @@
 // only the datapath id and table count learned from the handshake, so
 // multiple proxies can run in parallel (paper: not a single point of
 // failure).
+//
+// Delivery (DESIGN.md §5): every outbound frame is encoded into a pooled
+// buffer and handed to the session's endpoint. A socket session hands it
+// over inline — its endpoint only queues, so it cannot re-enter the proxy.
+// An in-process session defers the delivery through the proxy's DeferFn
+// (the paper model's proxy delay, or zero delay on the simulator), because
+// its endpoint may call straight back into the proxy.
 #pragma once
 
 #include <cstdint>
@@ -29,40 +36,13 @@
 #include <vector>
 
 #include "common/frame_buffer_pool.h"
-#include "common/rng.h"
 #include "core/pcp.h"
 #include "openflow/wire.h"
-#include "sim/simulator.h"
-#include "sim/stats.h"
 
 namespace dfi {
 
 class HealthMonitor;
 class Journal;
-
-struct ProxyConfig {
-  // Per-message proxy processing time (paper Table II: 0.16 ms ± 0.72 ms).
-  double latency_mean_ms = 0.16;
-  double latency_sd_ms = 0.72;
-  bool zero_latency = false;
-
-  // Batched datapath (DESIGN.md §5). Both default off: batching coalesces
-  // per-delivery latency draws and defers switch-bound writes, so the
-  // paper-calibrated reproduction and every pre-existing test keep exact
-  // per-message behavior unless a caller opts in.
-  //
-  // batch_packet_ins: hand each maximal run of consecutive table-0
-  // Packet-ins in a chunk to the PCP as one handle_packet_in_batch call
-  // (one snapshot capture per run instead of per packet). Runs never span
-  // a chunk or another message type, so submission order is unchanged.
-  bool batch_packet_ins = false;
-  // coalesce_egress: append switch-bound messages into one pooled buffer
-  // per session and deliver them as a single multi-frame write when the
-  // watermark is crossed or DfiProxy::flush_egress() runs (OpenFlow frames
-  // are self-delimiting, so concatenation is valid framing).
-  bool coalesce_egress = false;
-  std::size_t egress_watermark_bytes = 16 * 1024;
-};
 
 struct ProxyStats {
   std::uint64_t from_switch = 0;
@@ -108,29 +88,35 @@ struct ProxyStats {
 
 class DfiProxy {
  public:
+  // An in-process endpoint: sees each frame's bytes for the call only.
   using SendFn = std::function<void(const std::vector<std::uint8_t>&)>;
+  // A socket endpoint: takes each pooled frame and returns it to
+  // buffer_pool() once written (or dropped).
+  using FrameSink = std::function<void(std::vector<std::uint8_t> frame)>;
+  // Runs an in-process delivery later (DfiSystem supplies it).
+  using DeferFn = std::function<void(std::function<void()> deliver)>;
 
   // One proxied switch<->controller connection pair.
   class Session {
    public:
-    Session(DfiProxy& proxy, SendFn to_switch, SendFn to_controller);
+    explicit Session(DfiProxy& proxy);
 
-    // Bytes arriving from the switch side / the controller side.
+    // Bytes arriving from the switch side / the controller side: one call
+    // is one read batch.
     void from_switch(const std::vector<std::uint8_t>& chunk);
     void from_controller(const std::vector<std::uint8_t>& chunk);
 
     // Socket-transport entry points (src/net/asyncio): a Connection owns
     // its FrameDecoder and readv()s into it directly, so complete frames
     // arrive here with no intermediate chunk copy. *_frame processes one
-    // frame; *_batch_end flushes the Packet-in run and coalesced egress
-    // exactly where from_switch/from_controller would at chunk end;
-    // *_stream_corrupt records the transport hitting unrecoverable framing
-    // (length < 8). from_switch/from_controller are thin wrappers over
-    // these, so both transports share one code path.
+    // frame; switch_batch_end closes the switch's read batch exactly where
+    // from_switch would at chunk end (submit the Packet-in run, reset the
+    // admission count); *_stream_corrupt records the transport hitting
+    // unrecoverable framing (length < 8). from_switch/from_controller are
+    // thin wrappers over these, so both transports share one code path.
     void switch_frame(const FrameView& view);
     void controller_frame(const FrameView& view);
     void switch_batch_end();
-    void controller_batch_end();
     void switch_stream_corrupt();
     void controller_stream_corrupt();
 
@@ -145,47 +131,35 @@ class DfiProxy {
     void fast_path_from_controller(const FrameView& view);
     void handle_switch_message(OfMessage message);
     void handle_controller_message(OfMessage message);
+    // Encode into a pooled frame and emit it.
     void send_to_switch(const OfMessage& message);
     void send_to_controller(const OfMessage& message);
-    // Queue a message for delivery after the proxy processing delay. The
-    // delivery no-ops if the session is destroyed in the meantime (the
-    // pooled buffer still returns to the pool). Messages are encoded into
-    // pooled buffers at defer time; the byte variants take an
-    // already-encoded (pooled) frame and return it to the pool after
-    // delivery. With coalesce_egress the switch-bound variants append to
-    // the pending egress buffer instead of deferring one frame each.
-    void defer_to_switch(OfMessage message);
-    void defer_to_controller(OfMessage message);
-    void defer_bytes_to_switch(std::vector<std::uint8_t> frame);
-    void defer_bytes_to_controller(std::vector<std::uint8_t> frame);
-    // Coalesced egress: append raw frame bytes to the pending switch-bound
-    // buffer (acquiring it lazily), flushing at the watermark.
-    void append_switch_bytes(const std::uint8_t* data, std::size_t size);
-    // Deliver the pending coalesced buffer as one multi-frame write.
-    void flush_switch_egress();
-    // The single deferred-delivery path every switch-bound (pooled) frame
-    // or coalesced buffer funnels through.
-    void defer_frame_to_switch(std::vector<std::uint8_t> frame);
+    // Hand one pooled frame to the endpoint: inline into a socket session's
+    // sink, or deferred for an in-process one. A deferred delivery no-ops
+    // if the session is destroyed in the meantime; its buffer returns to
+    // the pool either way.
+    void emit(bool to_switch, std::vector<std::uint8_t> frame);
     // Packet-in batching: submit the pending run to the PCP as one batch.
     void flush_packet_ins();
 
     DfiProxy& proxy_;
+    // In-process sessions deliver through these (deferred)...
     SendFn to_switch_;
     SendFn to_controller_;
+    // ...socket sessions through these (inline).
+    FrameSink switch_sink_;
+    FrameSink controller_sink_;
     FrameDecoder switch_decoder_;
     FrameDecoder controller_decoder_;
     std::optional<Dpid> dpid_;
     std::uint8_t switch_num_tables_ = 0;
-    // Coalesced egress state (coalesce_egress only): the pending pooled
-    // buffer, valid while pending_egress_active_, plus a reused encode
-    // scratch so appends allocate nothing in steady state.
-    std::vector<std::uint8_t> pending_egress_;
-    bool pending_egress_active_ = false;
-    std::vector<std::uint8_t> encode_scratch_;
-    // Packet-in batching state (batch_packet_ins only): the current run of
-    // consecutive table-0 Packet-ins, flushed before any other message and
-    // at the end of every chunk — never carried across either boundary.
+    // The current run of consecutive table-0 Packet-ins, submitted before
+    // any other message and at the end of every read batch — never carried
+    // across either boundary.
     std::vector<PolicyCompilationPoint::BatchItem> pending_pins_;
+    // Packet-ins the PCP admitted from the current read batch (its inline
+    // admission bound spans every run of the batch).
+    std::size_t batch_admitted_ = 0;
     // Liveness token: deferred deliveries and in-flight PCP decision
     // callbacks capture this instead of trusting `this` to outlive them.
     // destroy_session() flips it, turning every outstanding closure into a
@@ -194,13 +168,16 @@ class DfiProxy {
     std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   };
 
-  DfiProxy(Simulator& sim, PolicyCompilationPoint& pcp, ProxyConfig config, Rng rng);
+  DfiProxy(PolicyCompilationPoint& pcp, DeferFn defer);
   ~DfiProxy();
 
   DfiProxy(const DfiProxy&) = delete;
   DfiProxy& operator=(const DfiProxy&) = delete;
 
+  // An in-process session: deliveries are deferred through the DeferFn.
   Session& create_session(SendFn to_switch, SendFn to_controller);
+  // A socket session: deliveries go straight to the sinks.
+  Session& create_socket_session(FrameSink to_switch, FrameSink to_controller);
 
   // Tear a session down immediately: its switch is unregistered from the
   // PCP and every outstanding deferred delivery or in-flight decision
@@ -210,12 +187,6 @@ class DfiProxy {
   void destroy_session(Session& session);
 
   std::size_t session_count() const { return sessions_.size(); }
-
-  // Coalesced egress only: deliver every session's pending switch-bound
-  // buffer. Owners of the event loop call this at batch boundaries (the
-  // bench after a submission burst, the fuzz harness inside drain); the
-  // watermark bounds how much can ever be pending between calls.
-  void flush_egress();
 
   // Degraded-mode gate (DESIGN.md §6). While the attached HealthMonitor
   // reports a non-healthy plane, undecided table-0 Packet-ins are not
@@ -228,7 +199,6 @@ class DfiProxy {
   void attach_journal_stats(const Journal* journal) { journal_ = journal; }
 
   const ProxyStats& stats() const;
-  const SampleStats& latency_ms() const { return latency_ms_; }
   const FrameBufferPool& buffer_pool() const { return pool_; }
   // Mutable access for transports that acquire/release pooled frames around
   // the wire (src/net/asyncio) — same control-thread-only discipline as the
@@ -238,18 +208,12 @@ class DfiProxy {
  private:
   friend class Session;
 
-  // Schedule `deliver` after the sampled proxy processing delay.
-  void after_proxy_delay(std::function<void()> deliver);
+  Session& add_session();
 
-  Simulator& sim_;
   PolicyCompilationPoint& pcp_;
+  DeferFn defer_;
   HealthMonitor* health_ = nullptr;
   const Journal* journal_ = nullptr;
-  ProxyConfig config_;
-  Rng rng_;
-  // Table II proxy latency distribution, derived once from the configured
-  // moments instead of per message.
-  LogNormalParams latency_{};
   std::vector<std::unique_ptr<Session>> sessions_;
   // Frame buffers shared by every session: forwarding reuses capacity
   // instead of allocating per message.
@@ -260,7 +224,6 @@ class DfiProxy {
   // zero outstanding at quiesce, severed sessions included.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   mutable ProxyStats stats_;
-  SampleStats latency_ms_;
 };
 
 }  // namespace dfi

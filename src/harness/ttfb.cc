@@ -43,12 +43,7 @@ TtfbResult run_ttfb_experiment(const TtfbConfig& config) {
   if (config.with_dfi) {
     DfiConfig dfi_config;
     dfi_config.seed = config.seed;
-    dfi_config.pcp.binding_query_mean_ms *= config.e2e_service_scale;
-    dfi_config.pcp.binding_query_sd_ms *= config.e2e_service_scale;
-    dfi_config.pcp.policy_query_mean_ms *= config.e2e_service_scale;
-    dfi_config.pcp.policy_query_sd_ms *= config.e2e_service_scale;
-    dfi_config.pcp.other_mean_ms *= config.e2e_service_scale;
-    dfi_config.pcp.other_sd_ms *= config.e2e_service_scale;
+    dfi_config.timing.service_scale = config.e2e_service_scale;
     dfi = std::make_unique<DfiSystem>(sim, bus, dfi_config);
     network.attach_dfi_control(*dfi, controller);
   } else {

@@ -20,6 +20,7 @@
 
 #include "common/sim_time.h"
 #include "core/proxy.h"
+#include "sim/paper_timing.h"
 #include "sim/stats.h"
 
 namespace dfi {
@@ -30,9 +31,9 @@ struct TtfbConfig {
   SimDuration duration = seconds(30.0);
   SimDuration probe_interval = milliseconds(250);
   std::uint64_t seed = 0x77fb;
-  // Scale applied to the PCP component service times in the end-to-end
-  // configuration (see header comment). 1.0 reproduces Table I conditions.
-  double e2e_service_scale = 1.8;
+  // The paper timing model's service_scale in the end-to-end configuration
+  // (see header comment). 1.0 reproduces Table I conditions.
+  double e2e_service_scale = PaperTiming::kEndToEndServiceScale;
 };
 
 struct TtfbResult {

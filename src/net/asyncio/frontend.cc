@@ -72,47 +72,42 @@ void SocketFrontend::on_controller_link(std::uint64_t peer_id,
 
 void SocketFrontend::bind_session(Peer& peer) {
   Peer* p = &peer;
-  const std::uint64_t id = peer.id;
-  auto& proxy = system_.proxy();
-  auto& pool = proxy.buffer_pool();
+  auto& pool = system_.proxy().buffer_pool();
 
-  // SendFns run only while the session is alive, which sever_peer ends
-  // before the Peer goes away — so capturing the Peer raw is safe, and the
-  // closing flag guards the sever window itself.
-  auto deliver = [this, id, &pool](Peer* target, const bool to_switch,
-                                   const std::vector<std::uint8_t>& bytes) {
-    if (target->closing) return;
-    Connection* out =
-        to_switch ? target->switch_conn.get() : target->controller_conn.get();
-    if (out == nullptr ||
-        !out->send(pool.acquire_copy(bytes.data(), bytes.size()))) {
-      // We are on the session's own SendFn stack here: sever_peer only
-      // marks the peer closing and defers the session destruction, so the
-      // std::function currently executing is never freed under itself.
-      sever_peer(id, "egress overflow");
-      return;
-    }
-    dirty_peers_.insert(id);
+  // Socket sessions deliver inline: the sink takes the pooled frame and
+  // Connection::send only queues it (it returns to the pool after the
+  // write), so nothing can re-enter the proxy. The sink runs only while the
+  // session is alive, which sever_peer ends before the Peer goes away — so
+  // capturing the Peer raw is safe, and the closing flag guards the sever
+  // window itself.
+  auto sink = [this, p, &pool](const bool to_switch) {
+    return [this, p, &pool, to_switch](std::vector<std::uint8_t> frame) {
+      if (p->closing) {
+        pool.release(std::move(frame));
+        return;
+      }
+      Connection& out = to_switch ? *p->switch_conn : *p->controller_conn;
+      if (!out.send(std::move(frame))) {
+        // We are inside the proxy's session code here: sever_peer only
+        // marks the peer closing and defers the session destruction, so
+        // the session is never freed under itself.
+        sever_peer(p->id, "egress overflow");
+        return;
+      }
+      dirty_peers_.insert(p->id);
+    };
   };
-  peer.session = &proxy.create_session(
-      [deliver, p](const std::vector<std::uint8_t>& bytes) {
-        deliver(p, /*to_switch=*/true, bytes);
-      },
-      [deliver, p](const std::vector<std::uint8_t>& bytes) {
-        deliver(p, /*to_switch=*/false, bytes);
-      });
+  peer.session = &system_.proxy().create_socket_session(sink(/*to_switch=*/true),
+                                                        sink(/*to_switch=*/false));
   ++stats_.sessions_opened;
 
   auto batch_end = [this, p](const bool from_switch) {
     if (p->closing || p->session == nullptr) return;
-    if (from_switch) {
-      p->session->switch_batch_end();
-    } else {
-      p->session->controller_batch_end();
-    }
-    // Deliver everything the batch deferred (possibly into *other* peers'
-    // egress queues — the simulator is shared), then push exactly the peers
-    // that received egress to the wire.
+    if (from_switch) p->session->switch_batch_end();
+    // Run whatever the batch left pending (threaded completions; modelled
+    // decisions with a paper-timed config) — possibly into *other* peers'
+    // egress queues — then push exactly the peers that received egress to
+    // the wire.
     system_.pump();
     flush_dirty();
   };
@@ -146,7 +141,7 @@ void SocketFrontend::bind_session(Peer& peer) {
       p->session->controller_stream_corrupt();
     }
   });
-  ct.on_closed([this, alive = alive_, id](const char* reason) {
+  ct.on_closed([this, alive = alive_, id = peer.id](const char* reason) {
     if (*alive) sever_peer(id, reason);
   });
   ct.on_backpressure([this, p](bool backed_up) {
@@ -171,7 +166,7 @@ void SocketFrontend::sever_peer(std::uint64_t peer_id, const char* reason) {
   // Mark first: every further delivery, frame callback and backpressure
   // callback on this peer no-ops from here on. The teardown itself is
   // deferred one loop turn because this may be running inside the session's
-  // own SendFn (egress overflow) or a Connection's handle_io — destroying
+  // own sink (egress overflow) or a Connection's handle_io — destroying
   // the session here would free the std::function currently executing, and
   // destroying the Connection would free the object whose method is on the
   // stack.
@@ -187,23 +182,23 @@ void SocketFrontend::finish_sever(std::uint64_t peer_id, const char* reason) {
   if (it == peers_.end()) return;
   Peer* p = it->second.get();
   if (p->session != nullptr) {
-    // Session-first teardown: the liveness token turns every outstanding
-    // deferred delivery and in-flight decision callback into a no-op.
+    // Session-first teardown: the liveness token turns every in-flight
+    // decision callback into a no-op.
     system_.proxy().destroy_session(*p->session);
     p->session = nullptr;
     ++stats_.sessions_closed;
   }
   if (p->switch_conn) p->switch_conn->close(reason);
   if (p->controller_conn) p->controller_conn->close(reason);
-  // Posted context: no SendFn or Connection frame is on the stack (close()
-  // above re-enters sever_peer via closed_fn, which no-ops on the closing
-  // flag), so the Peer and its Connections can be freed right here.
+  // Posted context: no session sink or Connection frame is on the stack
+  // (close() above re-enters sever_peer via closed_fn, which no-ops on the
+  // closing flag), so the Peer and its Connections can be freed right here.
   peers_.erase(it);
 }
 
 void SocketFrontend::flush_dirty() {
   if (dirty_peers_.empty()) return;
-  // deliver() may dirty peers again while a flush runs; swap the set out so
+  // A sink may dirty peers again while a flush runs; swap the set out so
   // the iteration stays stable.
   auto dirty = std::move(dirty_peers_);
   dirty_peers_.clear();

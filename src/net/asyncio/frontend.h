@@ -8,11 +8,13 @@
 //
 // Data flow per peer pair:
 //   switch readv  -> FrameDecoder spans -> Session::switch_frame (zero-copy
-//                    FrameView into classify()) ... batch end -> flush the
-//                    Packet-in run, pump the system, writev both egresses
-//   session SendFn -> pooled acquire_copy -> Connection::send -> coalesced
-//                    writev; the frame returns to the proxy's pool after
-//                    the write (or at close) — zero steady-state allocation
+//                    FrameView into classify()) ... batch end -> submit the
+//                    Packet-in run (decided inline, at most queue_capacity
+//                    per read batch), pump the system, writev both egresses
+//   session sink  -> the proxy's pooled frame, by move -> Connection::send
+//                    -> coalesced writev; the frame returns to the proxy's
+//                    pool after the write (or at close) — zero steady-state
+//                    allocation
 //
 // Backpressure: when a peer's egress crosses its high watermark, the
 // frontend pauses reads on the *opposite* connection of the pair (the one
@@ -21,10 +23,10 @@
 // Teardown is session-first and fail-secure: any close — switch side,
 // controller side, send overflow — marks the peer closing on the spot
 // (every further delivery and frame callback no-ops) and finishes one loop
-// turn later: destroy the proxy session (outstanding deferred deliveries
-// no-op via the liveness token) and close both sockets. The deferral is
+// turn later: destroy the proxy session (in-flight decision callbacks no-op
+// via the liveness token) and close both sockets. The deferral is
 // load-bearing — a sever can be requested from inside the session's own
-// SendFn (egress overflow) or a Connection's handle_io, and destroying
+// sink (egress overflow) or a Connection's handle_io, and destroying
 // either from its own stack is use-after-free. The switch is expected to
 // reconnect, which replays the handshake and re-registers with the PCP
 // (Table-0 resync on recovery).
@@ -96,7 +98,8 @@ class SocketFrontend {
   // from deep inside the peer's own callback stack.
   void sever_peer(std::uint64_t peer_id, const char* reason);
   void finish_sever(std::uint64_t peer_id, const char* reason);
-  // Flush egress of exactly the peers deliver() touched since the last call.
+  // Flush egress of exactly the peers the session sinks fed since the last
+  // call.
   void flush_dirty();
   void arm_tick();
 
@@ -106,8 +109,8 @@ class SocketFrontend {
   ConnectionManager conman_;
 
   std::unordered_map<std::uint64_t, std::unique_ptr<Peer>> peers_;
-  // Peers whose egress queues deliver() fed since the last flush_dirty():
-  // batch-end flushing walks only these, not every live peer.
+  // Peers whose egress queues a session sink fed since the last
+  // flush_dirty(): batch-end flushing walks only these, not every live peer.
   std::unordered_set<std::uint64_t> dirty_peers_;
   std::uint64_t next_peer_id_ = 1;
   FrontendStats stats_;

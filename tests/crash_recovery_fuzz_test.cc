@@ -295,18 +295,17 @@ void check_queries(Rng& rng, const Plane& recovered, const Plane& oracle,
 }
 
 // Wire-level Table-0 differential: identical Packet-in workloads through
-// zero-latency PCPs over both planes must emit byte-identical FlowMods
+// untimed PCPs over both planes must emit byte-identical FlowMods
 // (cookie == deciding rule id, so this pins exact id recovery).
-void check_table0(std::uint64_t seed, Rng& rng, Plane& recovered, Plane& oracle,
+void check_table0(Rng& rng, Plane& recovered, Plane& oracle,
                   std::vector<std::string>& violations) {
   Simulator sim_a;
   Simulator sim_b;
-  PcpConfig config;
-  config.zero_latency = true;
+  const PcpConfig config;
   PolicyCompilationPoint pcp_a(sim_a, recovered.bus, recovered.erm,
-                               recovered.manager, config, Rng(seed ^ 0x7ab1));
+                               recovered.manager, config);
   PolicyCompilationPoint pcp_b(sim_b, oracle.bus, oracle.erm, oracle.manager,
-                               config, Rng(seed ^ 0x7ab1));
+                               config);
   std::vector<std::uint8_t> wire_a;
   std::vector<std::uint8_t> wire_b;
   const auto capture = [](std::vector<std::uint8_t>& wire) {
@@ -493,7 +492,7 @@ ScheduleResult run_schedule(std::uint64_t seed) {
     // Final lifetime: no further mutations — run the wire-level epilogue on
     // the fully recovered plane and stop.
     if (life + 1 == lifetimes) {
-      check_table0(seed, rng, *sut, *oracle, result.violations);
+      check_table0(rng, *sut, *oracle, result.violations);
       break;
     }
 
@@ -1032,7 +1031,7 @@ ReplScheduleResult run_replicated_schedule(std::uint64_t seed) {
     } else {
       check_queries(rng, *primary.plane, *oracle, result.violations);
       check_interned_state(*primary.plane, result.violations);
-      check_table0(seed, rng, *primary.plane, *oracle, result.violations);
+      check_table0(rng, *primary.plane, *oracle, result.violations);
     }
   }
   // Tie invariant I1 to these schedules: the same fail-secure degraded

@@ -66,12 +66,11 @@ class DecisionCacheTest : public ::testing::Test {
   DecisionCacheTest() { rebuild({}); }
 
   void rebuild(PcpConfig config) {
-    config.zero_latency = true;
     pcp_.reset();
     erm_ = std::make_unique<EntityResolutionManager>(bus_);
     manager_ = std::make_unique<PolicyManager>(bus_);
     pcp_ = std::make_unique<PolicyCompilationPoint>(sim_, bus_, *erm_, *manager_,
-                                                    config, Rng(1));
+                                                    config);
     pcp_->register_switch(Dpid{1}, [](const OfMessage&) {});
   }
 

@@ -13,6 +13,7 @@
 #include "net/packet.h"
 #include "openflow/switch_device.h"
 #include "openflow/wire.h"
+#include "sim/paper_timing.h"
 #include "sim/simulator.h"
 
 namespace dfi {
@@ -25,7 +26,6 @@ Ipv4Address ip_of(std::size_t i) {
 
 PcpConfig base_config() {
   PcpConfig config;
-  config.zero_latency = true;
   config.queue_capacity = 512;
   return config;
 }
@@ -33,8 +33,16 @@ PcpConfig base_config() {
 // PCP wired to real switch devices, so flush completeness is asserted
 // against actual Table-0 contents rather than a recorded message stream.
 struct FlushWorld {
-  explicit FlushWorld(const PcpConfig& config)
-      : erm(bus), policy(bus), pcp(sim, bus, erm, policy, config, Rng(11)) {
+  // `paper_timed`: decide through the paper's timing model, so submitted
+  // decisions stay in flight in their modelled stations until drain().
+  explicit FlushWorld(const PcpConfig& config, bool paper_timed = false)
+      : timing(paper_timed ? std::make_unique<PaperTiming>(sim, config.shards,
+                                                           config.queue_capacity,
+                                                           1.0, 11)
+                           : nullptr),
+        erm(bus),
+        policy(bus),
+        pcp(sim, bus, erm, policy, config, timing.get()) {
     for (std::uint64_t d : {std::uint64_t{1}, std::uint64_t{2}}) {
       devices.push_back(std::make_unique<SwitchDevice>(
           SwitchConfig{Dpid{d}, 4, 4096}, [this] { return sim.now(); }));
@@ -80,6 +88,7 @@ struct FlushWorld {
 
   Simulator sim;
   MessageBus bus;
+  std::unique_ptr<PaperTiming> timing;
   EntityResolutionManager erm;
   PolicyManager policy;
   PolicyCompilationPoint pcp;
@@ -159,21 +168,39 @@ TEST(FlushTest, RevokeRacingInFlightThreadedDecisionLeavesNoResidue) {
 TEST(FlushTest, RevokeRacingInFlightSimulatedDecisionLeavesNoResidue) {
   PcpConfig config = base_config();
   config.shards = 2;
-  FlushWorld world(config);
+  FlushWorld world(config, /*paper_timed=*/true);
   const PolicyRuleId id = world.policy.insert(allow_from(1), PdpPriority{5}, "t");
 
   for (std::uint16_t i = 0; i < 16; ++i) {
     world.packet_in(1, 1, 2, static_cast<std::uint16_t>(2000 + i));
   }
-  // The simulated backend decides at service time, inside sim.run(), so
-  // these decisions already see the post-revoke database — no re-decide
-  // needed, and no revoked-cookie rule may appear.
+  // The paper-timed kSimulated backend decides at modelled service
+  // completion, inside sim.run(), so these decisions already see the
+  // post-revoke database — no re-decide needed, and no revoked-cookie rule
+  // may appear.
   ASSERT_TRUE(world.policy.revoke(id));
   world.drain();
 
   EXPECT_EQ(world.count_cookie(0, id.value), 0u);
   EXPECT_EQ(world.pcp.stats().stale_redecides, 0u);
   EXPECT_EQ(world.count_cookie(0, kDefaultDenyCookie.value), 16u);
+}
+
+// Without a timing model the same burst is decided inline, before the
+// revoke: its allow rules land first and the revoke's flush deletes them.
+TEST(FlushTest, RevokeAfterInlineDecisionsLeavesNoResidue) {
+  PcpConfig config = base_config();
+  config.shards = 2;
+  FlushWorld world(config);
+  const PolicyRuleId id = world.policy.insert(allow_from(1), PdpPriority{5}, "t");
+  for (std::uint16_t i = 0; i < 16; ++i) {
+    world.packet_in(1, 1, 2, static_cast<std::uint16_t>(2000 + i));
+  }
+  ASSERT_EQ(world.count_cookie(0, id.value), 16u);
+  ASSERT_TRUE(world.policy.revoke(id));
+  world.drain();
+  EXPECT_EQ(world.count_cookie(0, id.value), 0u);
+  EXPECT_EQ(world.table0_rules(0), 0u);
 }
 
 TEST(FlushTest, WildcardCachedRulesFlushOnRevoke) {

@@ -231,11 +231,11 @@ TEST(FuzzCampaign, IncrementalSnapshotsThreaded) {
   EXPECT_GT(c.snapshot_probes, 0u);
 }
 
-// Batched datapath (DESIGN.md §5): Packet-in batching + coalesced egress
-// with a small watermark, so batch decide, watermark flushes, severs and
-// policy churn interleave. Same five invariants, plus the pool-quiesce
-// check the harness runs at final settle (in_use() == 0: coalesced buffers
-// stranded on severed sessions must still return to the pool).
+// Packet-in bursts (DESIGN.md §5): multi-Packet-in chunks form real runs,
+// so batch decide, severs and policy churn interleave. Same five
+// invariants, plus the pool-quiesce check the harness runs at final settle
+// (in_use() == 0: buffers of deliveries dropped with severed sessions must
+// still return to the pool).
 TEST(FuzzCampaign, BatchedDatapath) {
   FuzzOptions base;
   base.backend = PcpBackend::kSimulated;
@@ -250,10 +250,10 @@ TEST(FuzzCampaign, BatchedDatapath) {
   EXPECT_GT(c.batch_bursts, 0u);  // multi-Packet-in chunks actually formed
 }
 
-// Batched datapath on the threaded backend with the full kill probe armed
+// Packet-in bursts on the threaded backend with the full kill probe armed
 // (kKill, kStall, and kKillAfterDecide — a worker dying between running a
 // batch item's decision and publishing its completion). Severs race the
-// window between batch decide and the coalesced egress flush.
+// window between batch decide and the deferred deliveries.
 TEST(FuzzCampaign, BatchedThreadedWorkerFaults) {
   FuzzOptions base;
   base.backend = PcpBackend::kThreads;

@@ -289,11 +289,11 @@ TEST_F(IntegrationTest, ParallelControlPlaneInstancesShareState) {
   // PCP + proxy sharing the same ERM/Policy Manager over the same bus, and
   // attach a new switch through it. Policy changes must reach rules cached
   // via *both* instances.
-  PcpConfig pcp_config;
-  pcp_config.zero_latency = true;
   PolicyCompilationPoint second_pcp(sim_, bus_, dfi_.erm(), dfi_.policy_manager(),
-                                    pcp_config, Rng(77));
-  DfiProxy second_proxy(sim_, second_pcp, ProxyConfig{0, 0, true}, Rng(78));
+                                    PcpConfig{});
+  DfiProxy second_proxy(second_pcp, [this](std::function<void()> deliver) {
+    sim_.schedule_after(SimDuration{}, std::move(deliver));
+  });
 
   network_.add_switch(Dpid{3});
   network_.link_switches(Dpid{2}, PortNo{11}, Dpid{3}, PortNo{10});

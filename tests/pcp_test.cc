@@ -1,6 +1,7 @@
 // Unit tests for the Policy Compilation Point: decisions, exact-match rule
 // compilation, cookie tagging, flushing, the MAC-location sensor, spoof
-// denial, and overload behaviour.
+// denial, and the live path's inline admission bound. The paper-timed path
+// (modelled service stations, Table II draws) is in paper_timing_test.cc.
 #include <gtest/gtest.h>
 
 #include "bus/message_bus.h"
@@ -15,12 +16,11 @@ class PcpTest : public ::testing::Test {
   PcpTest() { rebuild({}); }
 
   void rebuild(PcpConfig config) {
-    config.zero_latency = config.zero_latency || !use_latency_;
     pcp_.reset();
     erm_ = std::make_unique<EntityResolutionManager>(bus_);
     manager_ = std::make_unique<PolicyManager>(bus_);
     pcp_ = std::make_unique<PolicyCompilationPoint>(sim_, bus_, *erm_, *manager_,
-                                                    config, Rng(1));
+                                                    config);
     installed_.clear();
     pcp_->register_switch(Dpid{1}, [this](const OfMessage& message) {
       installed_.push_back(message);
@@ -53,7 +53,6 @@ class PcpTest : public ::testing::Test {
     return mods;
   }
 
-  bool use_latency_ = false;
   Simulator sim_;
   MessageBus bus_;
   std::unique_ptr<EntityResolutionManager> erm_;
@@ -217,60 +216,40 @@ TEST_F(PcpTest, UnregisteredSwitchInstallIsSafe) {
   EXPECT_TRUE(installed_.empty());
 }
 
-TEST_F(PcpTest, AsyncPathInvokesCallbackAfterServiceTime) {
-  use_latency_ = true;
-  PcpConfig config;  // paper Table II latencies
-  rebuild(config);
-
-  bool called = false;
-  const bool accepted = pcp_->handle_packet_in(
-      Dpid{1}, packet_in_for(sample_packet()), [&called](const PcpDecision& decision) {
-        called = true;
-        EXPECT_FALSE(decision.allow);
-      });
-  EXPECT_TRUE(accepted);
-  EXPECT_FALSE(called);  // not synchronous
-  sim_.run();
-  EXPECT_TRUE(called);
-  EXPECT_GT(sim_.now().us, 0);  // simulated service time elapsed
-  EXPECT_EQ(pcp_->total_latency_ms().count(), 1u);
-  EXPECT_GT(pcp_->binding_latency_ms().mean(), 0.0);
-}
-
-TEST_F(PcpTest, OverloadDropsWhenQueueFull) {
-  use_latency_ = true;
+// The live path decides inline, so its only queue is the caller's read
+// batch: the bound spans every run of one batch, and what it rejects is
+// dropped as overload, never decided.
+TEST_F(PcpTest, InlineAdmissionBoundSpansRunsOfOneReadBatch) {
   PcpConfig config;
-  config.workers = 1;
-  config.queue_capacity = 2;
+  config.queue_capacity = 4;
   rebuild(config);
-
-  int completions = 0;
-  int accepted = 0;
-  for (int i = 0; i < 10; ++i) {
-    if (pcp_->handle_packet_in(Dpid{1}, packet_in_for(sample_packet()),
-                               [&completions](const PcpDecision&) { ++completions; })) {
-      ++accepted;
+  int decided = 0;
+  const auto run = [&](std::size_t n) {
+    std::vector<PolicyCompilationPoint::BatchItem> items(n);
+    for (auto& item : items) {
+      item.dpid = Dpid{1};
+      item.msg = packet_in_for(sample_packet());
+      item.done = [&decided](const PcpDecision&) { ++decided; };
     }
-  }
-  EXPECT_EQ(accepted, 3);  // 1 in service + 2 queued
-  sim_.run();
-  EXPECT_EQ(completions, 3);
-  EXPECT_EQ(pcp_->stats().dropped_overload, 7u);
-}
-
-TEST_F(PcpTest, LatencyBreakdownMatchesConfiguredMoments) {
-  use_latency_ = true;
-  rebuild({});
-  for (int i = 0; i < 2000; ++i) {
-    pcp_->handle_packet_in(Dpid{1}, packet_in_for(sample_packet()),
-                           [](const PcpDecision&) {});
-    sim_.run();
-  }
-  // Paper Table II: binding 2.41, policy 2.52, other 0.39 (ms).
-  EXPECT_NEAR(pcp_->binding_latency_ms().mean(), 2.41, 0.15);
-  EXPECT_NEAR(pcp_->policy_latency_ms().mean(), 2.52, 0.15);
-  EXPECT_NEAR(pcp_->other_latency_ms().mean(), 0.39, 0.1);
-  EXPECT_NEAR(pcp_->total_latency_ms().mean(), 5.32, 0.3);
+    return items;
+  };
+  auto first = run(3);
+  std::size_t admitted = pcp_->handle_packet_in_batch(first, 0);
+  EXPECT_EQ(admitted, 3u);
+  EXPECT_EQ(decided, 3);  // before the call returned
+  auto second = run(3);
+  admitted += pcp_->handle_packet_in_batch(second, admitted);
+  EXPECT_EQ(admitted, 4u);
+  EXPECT_EQ(decided, 4);
+  EXPECT_TRUE(second[0].accepted);
+  EXPECT_FALSE(second[1].accepted);
+  EXPECT_FALSE(second[2].accepted);
+  EXPECT_EQ(pcp_->stats().packet_ins, 6u);
+  EXPECT_EQ(pcp_->stats().dropped_overload, 2u);
+  // A new read batch starts a new bound.
+  auto third = run(2);
+  EXPECT_EQ(pcp_->handle_packet_in_batch(third, 0), 2u);
+  EXPECT_TRUE(sim_.empty());  // nothing was scheduled
 }
 
 }  // namespace

@@ -213,9 +213,10 @@ TEST(PortStatusProxy, PassthroughBothWays) {
   EntityResolutionManager erm(bus);
   PolicyManager manager(bus);
   PcpConfig pcp_config;
-  pcp_config.zero_latency = true;
-  PolicyCompilationPoint pcp(sim, bus, erm, manager, pcp_config, Rng(1));
-  DfiProxy proxy(sim, pcp, ProxyConfig{0, 0, true}, Rng(2));
+  PolicyCompilationPoint pcp(sim, bus, erm, manager, pcp_config);
+  DfiProxy proxy(pcp, [&sim](std::function<void()> deliver) {
+    sim.schedule_after(SimDuration{}, std::move(deliver));
+  });
 
   std::vector<OfMessage> to_switch, to_controller;
   const auto collect = [](std::vector<OfMessage>& sink) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bus/message_bus.h"
+#include "core/dfi_system.h"
 #include "core/proxy.h"
 #include "sim/simulator.h"
 
@@ -14,19 +15,15 @@ class ProxyTest : public ::testing::Test {
   ProxyTest()
       : erm_(bus_),
         manager_(bus_),
-        pcp_(sim_, bus_, erm_, manager_, zero_latency_pcp(), Rng(1)),
-        proxy_(sim_, pcp_, ProxyConfig{0, 0, true}, Rng(2)),
+        pcp_(sim_, bus_, erm_, manager_, PcpConfig{}),
+        proxy_(pcp_, [this](std::function<void()> deliver) {
+          sim_.schedule_after(SimDuration{}, std::move(deliver));
+        }),
         session_(proxy_.create_session(
             [this](const std::vector<std::uint8_t>& bytes) { collect(bytes, to_switch_); },
             [this](const std::vector<std::uint8_t>& bytes) {
               collect(bytes, to_controller_);
             })) {}
-
-  static PcpConfig zero_latency_pcp() {
-    PcpConfig config;
-    config.zero_latency = true;
-    return config;
-  }
 
   void collect(const std::vector<std::uint8_t>& bytes, std::vector<OfMessage>& sink) {
     FrameDecoder decoder;
@@ -343,17 +340,41 @@ TEST_F(ProxyTest, Table0IsolationInvariantUnderRandomTraffic) {
 // session state. The Session's liveness token (proxy.cc) is what these pin.
 
 TEST_F(ProxyTest, SessionTornDownWithPacketInInFlight) {
-  complete_handshake();
-  session_.from_switch(encode(OfMessage{7, table0_miss()}));
-  // The PCP decision and its deliveries are queued in the simulator; tear
-  // the session down before any of them run.
-  const std::size_t switch_msgs = to_switch_.size();
-  const std::size_t controller_msgs = to_controller_.size();
-  proxy_.destroy_session(session_);
-  EXPECT_EQ(proxy_.session_count(), 0u);
-  sim_.run();  // pre-fix: wrote through the freed Session (ASan heap-UAF)
-  EXPECT_EQ(to_switch_.size(), switch_msgs);
-  EXPECT_EQ(to_controller_.size(), controller_msgs);
+  // The paper-timed path: the decision waits in its modelled service
+  // station, so it is still in flight when the session dies.
+  Simulator sim;
+  MessageBus bus;
+  DfiSystem system(sim, bus, DfiConfig{});
+  std::size_t switch_bytes = 0;
+  std::size_t controller_bytes = 0;
+  auto& session = system.proxy().create_session(
+      [&switch_bytes](const std::vector<std::uint8_t>& b) { switch_bytes += b.size(); },
+      [&controller_bytes](const std::vector<std::uint8_t>& b) {
+        controller_bytes += b.size();
+      });
+  FeaturesReplyMsg features;
+  features.datapath_id = Dpid{9};
+  features.n_tables = 4;
+  session.from_switch(encode(OfMessage{1, features}));
+  sim.run();
+
+  const auto decided = [&system] {
+    const PcpStats& stats = system.pcp().stats();
+    return stats.allowed + stats.denied + stats.default_denied + stats.spoof_denied;
+  };
+  session.from_switch(encode(OfMessage{7, table0_miss()}));
+  ASSERT_EQ(system.pcp().stats().packet_ins, 1u);
+  ASSERT_EQ(decided(), 0u);
+  // Tear the session down before the decision and its deliveries run.
+  const std::size_t switch_before = switch_bytes;
+  const std::size_t controller_before = controller_bytes;
+  system.proxy().destroy_session(session);
+  EXPECT_EQ(system.proxy().session_count(), 0u);
+  sim.run();  // pre-fix: wrote through the freed Session (ASan heap-UAF)
+  EXPECT_EQ(decided(), 1u);  // decided, then its deliveries dropped
+  EXPECT_EQ(switch_bytes, switch_before);
+  EXPECT_EQ(controller_bytes, controller_before);
+  EXPECT_EQ(system.proxy().buffer_pool().in_use(), 0u);
 }
 
 TEST(ProxyTeardown, ThreadedDecisionsInFlightAtDestroy) {
@@ -362,11 +383,12 @@ TEST(ProxyTeardown, ThreadedDecisionsInFlightAtDestroy) {
   EntityResolutionManager erm(bus);
   PolicyManager manager(bus);
   PcpConfig config;
-  config.zero_latency = true;
   config.backend = PcpBackend::kThreads;
   config.shards = 2;
-  PolicyCompilationPoint pcp(sim, bus, erm, manager, config, Rng(1));
-  DfiProxy proxy(sim, pcp, ProxyConfig{0, 0, true}, Rng(2));
+  PolicyCompilationPoint pcp(sim, bus, erm, manager, config);
+  DfiProxy proxy(pcp, [&sim](std::function<void()> deliver) {
+    sim.schedule_after(SimDuration{}, std::move(deliver));
+  });
 
   std::size_t switch_bytes = 0;
   std::size_t controller_bytes = 0;

@@ -154,7 +154,7 @@ class CachingPcpTest : public ::testing::Test {
  protected:
   CachingPcpTest()
       : erm_(bus_), manager_(bus_),
-        pcp_(sim_, bus_, erm_, manager_, caching_config(), Rng(1)) {
+        pcp_(sim_, bus_, erm_, manager_, caching_config()) {
     pcp_.register_switch(Dpid{1}, [this](const OfMessage& message) {
       if (const auto* mod = std::get_if<FlowModMsg>(&message.payload)) {
         if (mod->command == FlowModCommand::kAdd) adds_.push_back(*mod);
@@ -165,7 +165,6 @@ class CachingPcpTest : public ::testing::Test {
 
   static PcpConfig caching_config() {
     PcpConfig config;
-    config.zero_latency = true;
     config.wildcard_caching = true;
     return config;
   }
@@ -254,8 +253,7 @@ TEST_F(CachingPcpTest, DecisionsIdenticalWithAndWithoutCaching) {
   manager_.insert(deny_ssh, PdpPriority{20}, "t");
 
   PcpConfig exact_config;
-  exact_config.zero_latency = true;
-  PolicyCompilationPoint exact_pcp(sim_, bus_, erm_, manager_, exact_config, Rng(2));
+  PolicyCompilationPoint exact_pcp(sim_, bus_, erm_, manager_, exact_config);
   exact_pcp.register_switch(Dpid{1}, [](const OfMessage&) {});
 
   for (std::uint16_t dst_port : {22, 80, 443, 445}) {

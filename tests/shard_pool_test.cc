@@ -193,7 +193,7 @@ PacketResult result_of(const PcpDecision& decision) {
 // wire-level record of everything the PCP wrote to its two switches.
 struct World {
   explicit World(const PcpConfig& config)
-      : erm(bus), policy(bus), pcp(sim, bus, erm, policy, config, Rng(7)) {
+      : erm(bus), policy(bus), pcp(sim, bus, erm, policy, config) {
     for (std::uint64_t d : {std::uint64_t{1}, std::uint64_t{2}}) {
       pcp.register_switch(Dpid{d}, [this, d](const OfMessage& message) {
         // Tag with the receiving switch so the byte records only compare
@@ -282,7 +282,6 @@ void run_pool(World& world, const std::vector<Batch>& script, PcpBackend backend
 
 PcpConfig base_config() {
   PcpConfig config;
-  config.zero_latency = true;
   config.queue_capacity = 512;  // > batch size: no overload drops
   return config;
 }
@@ -368,26 +367,16 @@ TEST(ShardPoolDifferential, AllShardCountsAndBackendsMatchOracleByteForByte) {
       // order, in every configuration.
       EXPECT_EQ(world.delete_wire, oracle.delete_wire);
 
-      // Installed ADDs: several simulated shards complete out of submission
-      // order (distinct service stations), so install *order* is pinned only
-      // where the pool preserves it — the threaded backend (submission-order
-      // reorder buffer) and the single-shard simulator. Content — which rule
-      // bytes reached which switch — must match everywhere.
-      const bool order_preserving = backend == PcpBackend::kThreads || shards == 1;
-      std::vector<std::vector<std::uint8_t>> got_adds = world.add_writes;
-      std::vector<std::vector<std::uint8_t>> want_adds = oracle.add_writes;
-      if (!order_preserving) {
-        std::sort(got_adds.begin(), got_adds.end());
-        std::sort(want_adds.begin(), want_adds.end());
-      }
-      EXPECT_EQ(got_adds, want_adds);
+      // Installed ADDs, in order: both backends apply effects in submission
+      // order — inline decisions trivially, the threaded backend through its
+      // reorder buffer.
+      EXPECT_EQ(world.add_writes, oracle.add_writes);
 
       // Outcome counters are part of the observable contract too. (Cache
       // hit/miss tallies are deliberately excluded: the threaded backend
       // may legitimately classify a replay differently, never a verdict.
       // packet_ins is a handle_packet_in counter the oracle's synchronous
-      // decide() does not touch; mac_moves and the ERM epoch depend on
-      // observation order, pinned only in order-preserving configurations.)
+      // decide() does not touch.)
       const PcpStats& got = world.pcp.stats();
       const PcpStats& want = oracle.pcp.stats();
       EXPECT_EQ(got.packet_ins, 8u * 50u);
@@ -398,10 +387,8 @@ TEST(ShardPoolDifferential, AllShardCountsAndBackendsMatchOracleByteForByte) {
       EXPECT_EQ(got.unparsable, want.unparsable);
       EXPECT_EQ(got.rules_installed, want.rules_installed);
       EXPECT_EQ(got.dropped_overload, 0u);
-      if (order_preserving) {
-        EXPECT_EQ(got.mac_moves, want.mac_moves);
-        EXPECT_EQ(world.erm.epoch(), oracle.erm.epoch());
-      }
+      EXPECT_EQ(got.mac_moves, want.mac_moves);
+      EXPECT_EQ(world.erm.epoch(), oracle.erm.epoch());
 
       // Final policy state converged to the oracle's.
       EXPECT_EQ(world.policy.size(), oracle.policy.size());
@@ -493,15 +480,8 @@ TEST(ShardPoolBatch, BatchSizesAreByteIdenticalToPerPacket) {
       }
       EXPECT_EQ(world.delete_wire, reference.delete_wire);
 
-      // Several simulated shards legitimately reorder installs (distinct
-      // service stations); the threaded reorder buffer pins exact order.
-      std::vector<std::vector<std::uint8_t>> got_adds = world.add_writes;
-      std::vector<std::vector<std::uint8_t>> want_adds = reference.add_writes;
-      if (backend != PcpBackend::kThreads) {
-        std::sort(got_adds.begin(), got_adds.end());
-        std::sort(want_adds.begin(), want_adds.end());
-      }
-      EXPECT_EQ(got_adds, want_adds);
+      // Both backends install in submission order.
+      EXPECT_EQ(world.add_writes, reference.add_writes);
 
       const PcpStats& got = world.pcp.stats();
       const PcpStats& want = reference.pcp.stats();
@@ -513,10 +493,8 @@ TEST(ShardPoolBatch, BatchSizesAreByteIdenticalToPerPacket) {
       EXPECT_EQ(got.unparsable, want.unparsable);
       EXPECT_EQ(got.rules_installed, want.rules_installed);
       EXPECT_EQ(got.dropped_overload, 0u);
-      if (backend == PcpBackend::kThreads) {
-        EXPECT_EQ(got.mac_moves, want.mac_moves);
-        EXPECT_EQ(world.erm.epoch(), reference.erm.epoch());
-      }
+      EXPECT_EQ(got.mac_moves, want.mac_moves);
+      EXPECT_EQ(world.erm.epoch(), reference.erm.epoch());
       EXPECT_EQ(world.policy.size(), reference.policy.size());
     }
   }
@@ -527,7 +505,6 @@ TEST(ShardPoolBatch, PartialAcceptanceMarksItemsIndividually) {
   // shard, flag exactly the accepted items, and count the rest as overload
   // drops — the proxy uses the per-item flag to suppress only rejected pins.
   PcpConfig config;
-  config.zero_latency = true;
   config.backend = PcpBackend::kThreads;
   config.shards = 1;
   config.queue_capacity = 4;
@@ -580,13 +557,12 @@ PcpConfig fault_pool_config(std::size_t shards) {
   config.backend = PcpBackend::kThreads;
   config.shards = shards;
   config.queue_capacity = 64;
-  config.zero_latency = true;
   return config;
 }
 
 TEST(ShardPoolFaults, WaitIdleSurvivesWorkerKill) {
   Simulator sim;
-  PcpShardPool pool(sim, fault_pool_config(1));
+  PcpShardPool pool(fault_pool_config(1));
   // Kill the worker on the last submitted job. Deterministic: the FIFO
   // worker cannot probe seq 3 before it is submitted, so seqs 0-2 are
   // always accepted and executed first.
@@ -609,7 +585,7 @@ TEST(ShardPoolFaults, WaitIdleSurvivesWorkerKill) {
 
 TEST(ShardPoolFaults, KilledShardRejectsSubmissionsUntilRespawn) {
   Simulator sim;
-  PcpShardPool pool(sim, fault_pool_config(2));
+  PcpShardPool pool(fault_pool_config(2));
   pool.set_worker_fault_probe([](std::size_t shard, std::uint64_t seq) {
     return (shard == 0 && seq == 0) ? WorkerFault::kKill : WorkerFault::kNone;
   });
@@ -643,7 +619,7 @@ TEST(ShardPoolFaults, KilledShardRejectsSubmissionsUntilRespawn) {
 
 TEST(ShardPoolFaults, StrandedJobsRecoverInlineInSubmissionOrder) {
   Simulator sim;
-  PcpShardPool pool(sim, fault_pool_config(1));
+  PcpShardPool pool(fault_pool_config(1));
   // Kill on the first job: everything still queued behind it is stranded on
   // the dead shard and must run inline on the control thread. How many of
   // the later submissions the dying shard still accepts races the kill, so
@@ -671,7 +647,7 @@ TEST(ShardPoolFaults, StrandedJobsRecoverInlineInSubmissionOrder) {
 
 TEST(ShardPoolFaults, StallsDelayButPreserveSubmissionOrder) {
   Simulator sim;
-  PcpShardPool pool(sim, fault_pool_config(2));
+  PcpShardPool pool(fault_pool_config(2));
   // Shard 0 stalls on every job while shard 1 races ahead; the reorder
   // buffer must still release effects in global submission order.
   pool.set_worker_fault_probe([](std::size_t shard, std::uint64_t) {

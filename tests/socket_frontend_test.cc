@@ -5,6 +5,10 @@
 // the in-process Session path, reconnect-with-Table-0-resync through the
 // supervised backoff, and fail-secure teardown with frames in flight.
 //
+// Also pins the live-path contract (DESIGN.md §9): Packet-ins over a socket
+// do no simulator work, and one read batch is admitted only up to the
+// PCP's queue_capacity, fail-secure past it.
+//
 // Single-threaded: the event loop is pumped from the test thread.
 #include <gtest/gtest.h>
 
@@ -23,6 +27,7 @@
 #include "core/dfi_system.h"
 #include "net/asyncio/event_loop.h"
 #include "net/asyncio/frontend.h"
+#include "net/packet.h"
 #include "openflow/messages.h"
 #include "openflow/wire.h"
 #include "sim/simulator.h"
@@ -52,6 +57,11 @@ struct RawPeer {
   RawPeer(const RawPeer&) = delete;
   RawPeer& operator=(const RawPeer&) = delete;
   ~RawPeer() { close(); }
+  int release() {
+    const int out = fd;
+    fd = -1;
+    return out;
+  }
   void close() {
     if (fd >= 0) ::close(fd);
     fd = -1;
@@ -492,6 +502,133 @@ TEST(SocketFrontendTest, TeardownWithFramesInFlightHoldsLivenessToken) {
   RawPeer sw2 = connect_switch(world.port);
   ASSERT_TRUE(world.pump_until(
       [&] { return world.frontend->stats().sessions_opened == 2; }));
+}
+
+// ------------------------------------------------- the live-path contract
+
+// A bound session with an allow-all policy: every parsable table-0 miss is
+// decided, installed and forwarded.
+struct LiveSession {
+  FrontendWorld world;
+  RawPeer sw;
+
+  bool open(std::uint64_t dpid) {
+    if (!world.start()) return false;
+    sw.fd = connect_switch(world.port).release();
+    if (!world.pump_until(
+            [&] { return world.frontend->stats().sessions_opened == 1; })) {
+      return false;
+    }
+    for (const auto& step : handshake_script(dpid)) {
+      if (step.from_switch) {
+        sw.send_frame(step.frame);
+      } else {
+        world.controller.link()->send_frame(step.frame);
+      }
+    }
+    if (!world.pump_until([&] {
+          world.controller.link()->drain();
+          return world.controller.link()->received.size() >= 16;
+        })) {
+      return false;
+    }
+    PolicyRule allow_all;
+    allow_all.action = PolicyAction::kAllow;
+    world.system.policy_manager().insert(allow_all, PdpPriority{1}, "allow-all");
+    return true;
+  }
+
+  static std::vector<std::uint8_t> miss(std::uint32_t xid, std::uint16_t sport) {
+    PacketInMsg pin;
+    pin.reason = PacketInReason::kNoMatch;
+    pin.table_id = 0;
+    pin.in_port = PortNo{1};
+    pin.data = make_tcp_packet(MacAddress::from_u64(0x10), MacAddress::from_u64(0x20),
+                               Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 0, 2),
+                               sport, 80)
+                   .serialize();
+    return encode(OfMessage{xid, pin});
+  }
+
+  // Table-0 installs the switch has read / xids the controller has read.
+  std::size_t installs() {
+    sw.drain();
+    std::size_t n = 0;
+    for_each_frame(sw.received, [&n](const OfMessage& message) {
+      const auto* mod = std::get_if<FlowModMsg>(&message.payload);
+      if (mod != nullptr && mod->command == FlowModCommand::kAdd && mod->table_id == 0) {
+        ++n;
+      }
+    });
+    return n;
+  }
+  std::vector<std::uint32_t> forwarded() {
+    world.controller.pump();
+    std::vector<std::uint32_t> xids;
+    for_each_frame(world.controller.link()->received, [&xids](const OfMessage& message) {
+      if (std::holds_alternative<PacketInMsg>(message.payload)) xids.push_back(message.xid);
+    });
+    return xids;
+  }
+
+  template <typename Fn>
+  static void for_each_frame(const std::vector<std::uint8_t>& bytes, Fn fn) {
+    FrameDecoder decoder;
+    decoder.feed(bytes);
+    for (auto& result : decoder.drain()) {
+      if (result.ok()) fn(result.value());
+    }
+  }
+};
+
+TEST(SocketFrontendTest, LivePacketInsScheduleNoSimulatorWork) {
+  LiveSession live;
+  ASSERT_TRUE(live.open(0x61));
+  ASSERT_TRUE(live.world.pump_until([&] { return live.world.sim.empty(); }));
+  const std::uint64_t executed = live.world.sim.executed();
+
+  constexpr std::uint32_t kExchanges = 16;
+  for (std::uint32_t i = 0; i < kExchanges; ++i) {
+    live.sw.send_frame(LiveSession::miss(2000 + i, static_cast<std::uint16_t>(3000 + i)));
+    ASSERT_TRUE(live.world.pump_until([&] {
+      return live.installs() == i + 1 && live.forwarded().size() == i + 1;
+    })) << "exchange " << i;
+  }
+  EXPECT_EQ(live.world.system.pcp().stats().allowed, kExchanges);
+  EXPECT_EQ(live.world.sim.executed(), executed);
+  EXPECT_TRUE(live.world.sim.empty());
+}
+
+TEST(SocketFrontendTest, ReadBatchAdmissionBoundIsFailSecure) {
+  LiveSession live;
+  ASSERT_TRUE(live.open(0x62));
+  const std::size_t capacity = PcpConfig{}.queue_capacity;
+
+  // One write, read by the frontend in one readv: a single read batch of
+  // queue_capacity + 1 table-0 misses.
+  std::vector<std::uint8_t> burst;
+  for (std::uint32_t i = 0; i <= capacity; ++i) {
+    const auto frame = LiveSession::miss(4000 + i, static_cast<std::uint16_t>(5000 + i));
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  live.sw.send_frame(burst);
+  ASSERT_TRUE(live.world.pump_until([&] {
+    return live.installs() >= capacity && live.forwarded().size() >= capacity;
+  }));
+  // Give a stray 33rd delivery every chance to show up.
+  for (int i = 0; i < 20; ++i) live.world.loop.run_once(1);
+
+  const PcpStats& stats = live.world.system.pcp().stats();
+  EXPECT_EQ(stats.packet_ins, capacity + 1);
+  EXPECT_EQ(stats.allowed, capacity);
+  EXPECT_EQ(stats.dropped_overload, 1u);
+  EXPECT_EQ(live.installs(), capacity);
+  // Exactly the decided xids reached the controller; the excess one never
+  // did, undecided or otherwise.
+  const std::vector<std::uint32_t> xids = live.forwarded();
+  ASSERT_EQ(xids.size(), capacity);
+  for (std::uint32_t i = 0; i < capacity; ++i) EXPECT_EQ(xids[i], 4000 + i);
+  EXPECT_EQ(live.world.system.proxy().stats().packet_ins_suppressed, 1u);
 }
 
 }  // namespace

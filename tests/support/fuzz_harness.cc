@@ -105,10 +105,10 @@ class FuzzWorld {
         policy_(bus_),
         sensors_(bus_),
         model_(bus_),  // after erm_: mirrors each binding event post-apply
-        pcp_(sim_, bus_, erm_, policy_, pcp_config(options),
-             Rng(options.seed ^ 0xDF1D0C5ull)),
-        proxy_(sim_, pcp_, proxy_config(options),
-               Rng(options.seed ^ 0xF00DFEEDull)) {
+        pcp_(sim_, bus_, erm_, policy_, pcp_config(options)),
+        proxy_(pcp_, [this](std::function<void()> deliver) {
+          sim_.schedule_after(SimDuration{}, std::move(deliver));
+        }) {
     socket_rng_ = Rng(options.seed ^ 0x50CCE77Aull);
     if (options_.backend == PcpBackend::kThreads && options_.worker_faults) {
       const std::uint64_t seed = options_.seed;
@@ -211,23 +211,8 @@ class FuzzWorld {
     config.backend = options.backend;
     config.shards = options.shards;
     config.queue_capacity = 512;
-    config.zero_latency = true;
     config.wildcard_caching = options.wildcard_caching;
     config.decision_cache_capacity = options.decision_cache_capacity;
-    return config;
-  }
-
-  static ProxyConfig proxy_config(const FuzzOptions& options) {
-    ProxyConfig config;
-    config.latency_mean_ms = 0.0;
-    config.latency_sd_ms = 0.0;
-    config.zero_latency = true;
-    // Batched schedules run Packet-in batching and egress coalescing with a
-    // tiny watermark, so mid-step watermark flushes race severs and policy
-    // churn instead of everything draining at the step boundary.
-    config.batch_packet_ins = options.batched_datapath;
-    config.coalesce_egress = options.batched_datapath;
-    config.egress_watermark_bytes = 512;
     return config;
   }
 
@@ -527,6 +512,12 @@ class FuzzWorld {
     controller_traffic();
     data_packets();
     flush_channels();
+    // Without a timing model the PCP decides each Packet-in inline, as the
+    // channels deliver it; only the proxy's deliveries are deferred on the
+    // simulator. Land them before the mid-flight mutation below, so each
+    // install reaches the tap (and its I3/I4 check) in the world it was
+    // decided in. Threaded completions stay in flight until drain().
+    sim_.run();
     // Incremental publication: capture a snapshot right after binding churn
     // flushed, so the revokes/severs below race against a held publication.
     if (options_.incremental_snapshots && plan_.chance(0.7)) {
@@ -767,15 +758,11 @@ class FuzzWorld {
   }
 
   void drain() {
-    // flush_egress delivers any coalesced switch-bound buffers below the
-    // watermark (a no-op for per-message schedules): applying completions
-    // in wait_idle appends installs to the pending buffers, so each flush
-    // follows a wait and precedes the sim run that delivers it.
+    // Applying threaded completions in wait_idle defers their deliveries,
+    // so each wait precedes the sim run that delivers them.
     pcp_.wait_idle();
-    proxy_.flush_egress();
     sim_.run();
     pcp_.wait_idle();
-    proxy_.flush_egress();
     sim_.run();
   }
 
@@ -812,8 +799,8 @@ class FuzzWorld {
     drain();
     sweep_table0();
     // Quiesce accounting: every pooled frame buffer — deferred deliveries,
-    // coalesced egress, buffers stranded on severed sessions — must have
-    // returned to the pool once nothing is in flight.
+    // buffers stranded on severed sessions — must have returned to the
+    // pool once nothing is in flight.
     if (proxy_.buffer_pool().in_use() != 0) {
       violation("pool", std::to_string(proxy_.buffer_pool().in_use()) +
                             " pooled buffers outstanding at quiesce");
@@ -826,13 +813,11 @@ class FuzzWorld {
   // always armed here.
   void check_pool_order() {
     plan_.note("== pool-order sub-check");
-    Simulator pool_sim;
     PcpConfig config;
     config.backend = PcpBackend::kThreads;
     config.shards = 3;
     config.queue_capacity = 64;
-    config.zero_latency = true;
-    PcpShardPool pool(pool_sim, config);
+    PcpShardPool pool(config);
     const std::uint64_t seed = options_.seed;
     pool.set_worker_fault_probe([seed](std::size_t shard, std::uint64_t seq) {
       const std::uint64_t h =

@@ -30,9 +30,14 @@
 #          the failover bench smoke. Full campaign on the plain build,
 #          bounded campaigns under ASan+UBSan and TSan
 #          (DFI_FUZZ_SCHEDULES / DFI_FUZZ_SEED apply here too).
+#   paper  the nine deterministic paper-reproduction benches (Tables I and
+#          II, Figs. 4 and 5, four ablations): each one's stdout must match
+#          bench/golden/<bench>.txt byte for byte. A change that moves a
+#          paper figure on purpose regenerates the goldens from its own
+#          build and says why.
 #
 # Usage: tools/check.sh [--no-sanitize] [stage...]
-#   no stages        -> all of tier1 asan tsan fuzz recovery replication
+#   no stages        -> all of tier1 asan tsan fuzz recovery replication paper
 #   --no-sanitize    -> tier1 only (kept for compatibility)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -43,12 +48,12 @@ STAGES=()
 for arg in "$@"; do
   case "$arg" in
     --no-sanitize) STAGES=(tier1) ;;
-    tier1|asan|tsan|fuzz|recovery|replication) STAGES+=("$arg") ;;
-    *) echo "unknown stage: $arg (want tier1, asan, tsan, fuzz, recovery, replication)" >&2; exit 2 ;;
+    tier1|asan|tsan|fuzz|recovery|replication|paper) STAGES+=("$arg") ;;
+    *) echo "unknown stage: $arg (want tier1, asan, tsan, fuzz, recovery, replication, paper)" >&2; exit 2 ;;
   esac
 done
 if [[ ${#STAGES[@]} -eq 0 ]]; then
-  STAGES=(tier1 asan tsan fuzz recovery replication)
+  STAGES=(tier1 asan tsan fuzz recovery replication paper)
 fi
 
 want() { local s; for s in "${STAGES[@]}"; do [[ "$s" == "$1" ]] && return 0; done; return 1; }
@@ -104,7 +109,7 @@ if want asan; then
   cmake -B build-asan -S . -DDFI_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "${JOBS}" --target \
     policy_index_test decision_cache_test policy_manager_test erm_test \
-    intern_test pcp_test bus_test proxy_test flush_test \
+    intern_test pcp_test paper_timing_test bus_test proxy_test flush_test \
     event_loop_test conman_test fault_socket_test socket_frontend_test \
     secure_channel_test wire_test
 
@@ -115,6 +120,7 @@ if want asan; then
   ./build-asan/tests/policy_manager_test
   ./build-asan/tests/erm_test
   ./build-asan/tests/pcp_test
+  ./build-asan/tests/paper_timing_test
   ./build-asan/tests/bus_test
   ./build-asan/tests/proxy_test
   ./build-asan/tests/flush_test
@@ -226,6 +232,31 @@ if want replication; then
   DFI_FUZZ_SCHEDULES="${DFI_REPLICATION_TSAN_SCHEDULES:-150}" \
     ./build-tsan/tests/crash_recovery_fuzz_test \
     --gtest_filter='CrashRecoveryFuzz.Replicated*'
+fi
+
+if want paper; then
+  PAPER_BENCHES=(bench_table1_microbench bench_table2_breakdown bench_fig4_ttfb
+    bench_fig5a_infection_course bench_fig5b_foothold_hour
+    bench_ablation_consistency bench_ablation_binding_time
+    bench_ablation_rule_cache bench_ablation_worm_vectors)
+  echo "== paper: build the paper-reproduction benches =="
+  cmake -B build -S . >/dev/null
+  cmake --build build -j "${JOBS}" --target "${PAPER_BENCHES[@]}"
+
+  echo "== paper: stdout byte-identical to bench/golden/ =="
+  ROOT="$(pwd)"
+  OUT="$(mktemp -d)"
+  trap 'rm -rf "${OUT}"' EXIT
+  for bench in "${PAPER_BENCHES[@]}"; do
+    # Run from a scratch directory: nothing a bench writes lands in the tree.
+    (cd "${OUT}" && "${ROOT}/build/bench/${bench}" > "${bench}.txt")
+    if ! cmp -s "${OUT}/${bench}.txt" "bench/golden/${bench}.txt"; then
+      echo "paper: ${bench} stdout differs from bench/golden/${bench}.txt" >&2
+      diff "bench/golden/${bench}.txt" "${OUT}/${bench}.txt" >&2 || true
+      exit 1
+    fi
+    echo "  ${bench}: identical"
+  done
 fi
 
 echo "== all requested stages passed =="
