@@ -132,7 +132,7 @@ Point run_threaded_point(std::size_t shards) {
   config.shards = shards;
   config.queue_capacity = 64;
   PaperTiming timing(sim, shards, config.queue_capacity, 1.0, 11);
-  PolicyCompilationPoint pcp(sim, bus, erm, manager, config, &timing);
+  PolicyCompilationPoint pcp(bus, erm, manager, config, &timing);
   pcp.register_switch(Dpid{1}, [](const OfMessage&) {});
 
   PolicyRule allow;
@@ -190,7 +190,6 @@ BatchPoint run_threaded_batch_point(std::size_t shards, std::size_t batch,
                                     std::size_t packets) {
   constexpr std::size_t kTuples = 256;
 
-  Simulator sim;
   MessageBus bus;
   EntityResolutionManager erm(bus);
   PolicyManager manager(bus);
@@ -198,7 +197,7 @@ BatchPoint run_threaded_batch_point(std::size_t shards, std::size_t batch,
   config.backend = PcpBackend::kThreads;
   config.shards = shards;
   config.queue_capacity = 512;
-  PolicyCompilationPoint pcp(sim, bus, erm, manager, config);
+  PolicyCompilationPoint pcp(bus, erm, manager, config);
   pcp.register_switch(Dpid{1}, [](const OfMessage&) {});
 
   PolicyRule allow;

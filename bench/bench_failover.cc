@@ -262,8 +262,8 @@ bool run_drill(std::uint64_t seed, DrillResult* out) {
   HealthConfig hconfig;  // failover_deadline: 2 s, the committed default
   MessageBus hbus_a;
   MessageBus hbus_b;
-  HealthMonitor health_a(sim, hbus_a, hconfig, Rng(seed));
-  HealthMonitor health_b(sim, hbus_b, hconfig, Rng(seed ^ 1));
+  HealthMonitor health_a(sim.clock(), hbus_a, hconfig, Rng(seed));
+  HealthMonitor health_b(sim.clock(), hbus_b, hconfig, Rng(seed ^ 1));
   Node a(seed ^ 0xa, &health_a);
   Node b(seed ^ 0xb, &health_b);
   Link link(*a.replica, *b.replica);
@@ -340,7 +340,7 @@ bool run_drill(std::uint64_t seed, DrillResult* out) {
   // resync (cookie-masked clears) and decides a fresh Packet-in — the
   // DfiSystem path out of the promotion's degraded window.
   PcpConfig pcp_config;
-  PolicyCompilationPoint pcp(sim, b.bus, b.erm, b.manager, pcp_config);
+  PolicyCompilationPoint pcp(b.bus, b.erm, b.manager, pcp_config);
   std::uint64_t flowmods = 0;
   pcp.register_switch(Dpid{1}, [&](const OfMessage&) { ++flowmods; });
   pcp.resync_all();

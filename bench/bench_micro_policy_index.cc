@@ -18,7 +18,6 @@
 #include "common/rng.h"
 #include "core/pcp.h"
 #include "core/policy_manager.h"
-#include "sim/simulator.h"
 
 namespace dfi {
 namespace {
@@ -182,12 +181,11 @@ DecisionCacheStats run_cache_workload(std::uint64_t* packet_ins) {
   constexpr std::size_t kPacketIns = 40'000;
   constexpr std::size_t kChurnEvery = 8'000;
 
-  Simulator sim;
   MessageBus bus;
   EntityResolutionManager erm(bus);
   PolicyManager manager(bus);
   PcpConfig config;
-  PolicyCompilationPoint pcp(sim, bus, erm, manager, config);
+  PolicyCompilationPoint pcp(bus, erm, manager, config);
   pcp.register_switch(Dpid{1}, [](const OfMessage&) {});
 
   std::vector<Ipv4Address> ips;

@@ -1,8 +1,15 @@
 #include "common/sim_time.h"
 
+#include <chrono>
 #include <cstdio>
 
 namespace dfi {
+
+SimTime monotonic_now() {
+  const auto since_epoch = std::chrono::steady_clock::now().time_since_epoch();
+  return SimTime{
+      std::chrono::duration_cast<std::chrono::microseconds>(since_epoch).count()};
+}
 
 std::string format_clock(SimTime t) {
   std::int64_t total_seconds = t.us / 1000000;

@@ -1,13 +1,17 @@
-// Simulated time.
+// Control-plane time.
 //
-// The discrete-event simulator measures time in integer microseconds from
-// the start of the scenario. SimTime is an absolute instant; SimDuration a
-// signed difference. Helpers convert to/from the wall-clock units the paper
-// reports (milliseconds, seconds, hours of the business day).
+// Time is integer microseconds. SimTime is an absolute instant; SimDuration
+// a signed difference. Components that keep deadlines or stamp events read
+// the time through a ClockFn: simulated compositions hand them the
+// discrete-event simulator's clock (microseconds from the start of the
+// scenario), the socket path hands them monotonic_now(). Helpers convert
+// to/from the units the paper reports (milliseconds, seconds, hours of the
+// business day).
 #pragma once
 
 #include <compare>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 namespace dfi {
@@ -44,6 +48,13 @@ struct SimTime {
   }
   friend constexpr auto operator<=>(const SimTime&, const SimTime&) = default;
 };
+
+// The one clock seam: whatever a component reads "now" from.
+using ClockFn = std::function<SimTime()>;
+
+// Wall time on the monotonic clock the event loop's timer wheel reads
+// (src/net/asyncio/event_loop.h), in microseconds from an arbitrary epoch.
+SimTime monotonic_now();
 
 constexpr SimDuration microseconds(std::int64_t n) { return SimDuration{n}; }
 constexpr SimDuration milliseconds(double n) {

@@ -2,6 +2,7 @@
 
 #include "core/journal.h"
 #include "sim/paper_timing.h"
+#include "sim/simulator.h"
 
 namespace dfi {
 namespace {
@@ -30,10 +31,11 @@ DfiSystem::DfiSystem(Simulator& sim, MessageBus& bus, DfiConfig config)
                   : nullptr),
       erm_(bus),
       policy_manager_(bus),
-      pcp_(sim, bus, erm_, policy_manager_, config.pcp, timing_.get()),
+      pcp_(bus, erm_, policy_manager_, config.pcp, timing_.get()),
       proxy_(pcp_, make_defer(sim, timing_.get())),
       sensors_(bus),
-      health_(sim, bus, config.health, Rng(config.seed ^ 0xc2b2ae3d27d4eb4full)) {
+      health_(sim.clock(), bus, config.health,
+              Rng(config.seed ^ 0xc2b2ae3d27d4eb4full)) {
   proxy_.attach_health(&health_);
   // Exiting a degraded window invalidates whatever Table 0 accumulated
   // across it: resync every switch so flows re-enter via Packet-in.
@@ -43,12 +45,6 @@ DfiSystem::DfiSystem(Simulator& sim, MessageBus& bus, DfiConfig config)
 }
 
 DfiSystem::~DfiSystem() = default;
-
-void DfiSystem::pump() {
-  sim_.run();
-  pcp_.wait_idle();
-  sim_.run();
-}
 
 void DfiSystem::enable_durability(Journal& journal) {
   policy_manager_.attach_journal(&journal);

@@ -25,13 +25,13 @@
 #include "core/policy_manager.h"
 #include "core/proxy.h"
 #include "services/sensors.h"
-#include "sim/simulator.h"
 
 namespace dfi {
 
 class Journal;
 class FileJournalStore;
 class PaperTiming;
+class Simulator;
 struct JournalRecovery;
 
 // The paper's timing model (sim/paper_timing.h): Table II latency draws
@@ -78,13 +78,6 @@ class DfiSystem {
   HealthMonitor& health() { return health_; }
   // The paper's timing model; null for a functional config.
   PaperTiming* timing() { return timing_.get(); }
-
-  // Drain everything that is ready to run right now: run due simulator
-  // events (modelled decisions, deferred in-process deliveries), wait out
-  // in-flight threaded decisions, then run what their effects deferred.
-  // The socket frontend (src/net/asyncio/frontend.cc) calls this at
-  // read-batch boundaries; on the live path it finds nothing to do.
-  void pump();
 
   // Attach `journal` as the durable write-ahead log: every PolicyManager
   // insert/revoke and ERM binding event is appended (and synced) before it

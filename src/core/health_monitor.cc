@@ -6,9 +6,9 @@
 
 namespace dfi {
 
-HealthMonitor::HealthMonitor(Simulator& sim, MessageBus& bus, HealthConfig config,
+HealthMonitor::HealthMonitor(ClockFn clock, MessageBus& bus, HealthConfig config,
                              Rng rng)
-    : sim_(sim),
+    : clock_(std::move(clock)),
       bus_(bus),
       config_(config),
       rng_(rng),
@@ -16,16 +16,22 @@ HealthMonitor::HealthMonitor(Simulator& sim, MessageBus& bus, HealthConfig confi
           topics::kHealthHeartbeats,
           [this](const HeartbeatEvent& event) { heartbeat(event.component); })) {}
 
-HealthMonitor::~HealthMonitor() { *alive_ = false; }
+void HealthMonitor::set_clock(ClockFn clock) {
+  clock_ = std::move(clock);
+  const SimTime now = clock_();
+  for (auto& [component, beat] : last_beat_) beat = now;
+  last_peer_beat_ = now;
+  recovering_since_ = now;
+}
 
 void HealthMonitor::watch(const std::string& component) {
-  last_beat_.emplace(component, sim_.now());
+  last_beat_.emplace(component, clock_());
   poll();
 }
 
 void HealthMonitor::heartbeat(const std::string& component) {
   ++stats_.heartbeats;
-  last_beat_[component] = sim_.now();
+  last_beat_[component] = clock_();
   poll();
 }
 
@@ -69,40 +75,6 @@ SimDuration HealthMonitor::backoff_delay(int attempt) {
   return delay;
 }
 
-void HealthMonitor::supervise_reconnect(const std::string& name,
-                                        std::function<bool()> connect) {
-  if (connect()) return;
-  // First failure opens a degraded window that stays open until the
-  // reconnect lands (or is abandoned): whatever this connection fed —
-  // sensor events, controller session — is not flowing.
-  enter_degraded("reconnect:" + name);
-  reconnect_attempt(name, std::make_shared<std::function<bool()>>(std::move(connect)),
-                    0);
-}
-
-void HealthMonitor::reconnect_attempt(const std::string& name,
-                                      std::shared_ptr<std::function<bool()>> connect,
-                                      int attempt) {
-  if (config_.max_reconnect_attempts > 0 &&
-      attempt >= config_.max_reconnect_attempts) {
-    ++stats_.reconnects_abandoned;
-    DFI_WARN << "health: reconnect of " << name << " abandoned after " << attempt
-             << " attempts";
-    exit_degraded("reconnect:" + name);
-    return;
-  }
-  sim_.schedule_after(
-      backoff_delay(attempt), [this, alive = alive_, name, connect, attempt] {
-        if (!*alive) return;
-        ++stats_.backoff_retries;
-        if ((*connect)()) {
-          exit_degraded("reconnect:" + name);
-          return;
-        }
-        reconnect_attempt(name, connect, attempt + 1);
-      });
-}
-
 void HealthMonitor::enable_failover(ReplicaRole role,
                                     std::function<void()> on_promote) {
   failover_enabled_ = true;
@@ -118,14 +90,14 @@ void HealthMonitor::set_role(ReplicaRole role) {
   role_ = role;
   // (Re)arm the peer-staleness clock: a primary that never shows up is as
   // dead as one that stopped beating.
-  if (role_ == ReplicaRole::kStandby) last_peer_beat_ = sim_.now();
+  if (role_ == ReplicaRole::kStandby) last_peer_beat_ = clock_();
   poll();
 }
 
 void HealthMonitor::peer_heartbeat() {
   if (!failover_enabled_ || role_ != ReplicaRole::kStandby) return;
   ++stats_.heartbeats;
-  last_peer_beat_ = sim_.now();
+  last_peer_beat_ = clock_();
   poll();
 }
 
@@ -143,7 +115,7 @@ void HealthMonitor::promote_now() {
 
 bool HealthMonitor::peer_stale() const {
   return failover_enabled_ && role_ == ReplicaRole::kStandby &&
-         sim_.now() - last_peer_beat_ > config_.failover_deadline;
+         clock_() - last_peer_beat_ > config_.failover_deadline;
 }
 
 void HealthMonitor::run_promotion() {
@@ -179,10 +151,10 @@ void HealthMonitor::poll() {
       break;
     case HealthState::kDegraded:
       if (!bad) {
-        recovering_since_ = sim_.now();
+        recovering_since_ = clock_();
         transition_to(HealthState::kRecovering);
         // A zero hold recovers in the same evaluation.
-        if (sim_.now() - recovering_since_ >= config_.recovering_hold) {
+        if (clock_() - recovering_since_ >= config_.recovering_hold) {
           transition_to(HealthState::kHealthy);
         }
       }
@@ -190,7 +162,7 @@ void HealthMonitor::poll() {
     case HealthState::kRecovering:
       if (bad) {
         transition_to(HealthState::kDegraded);
-      } else if (sim_.now() - recovering_since_ >= config_.recovering_hold) {
+      } else if (clock_() - recovering_since_ >= config_.recovering_hold) {
         transition_to(HealthState::kHealthy);
       }
       break;
@@ -207,7 +179,7 @@ void HealthMonitor::poll() {
 bool HealthMonitor::conditions_bad(std::size_t dead_shards) {
   if (degraded_refs_ > 0) return true;
   if (dead_shards > 0) return true;
-  const SimTime now = sim_.now();
+  const SimTime now = clock_();
   for (const auto& [component, beat] : last_beat_) {
     if (now - beat > config_.heartbeat_deadline) {
       ++stats_.deadline_misses;
@@ -235,22 +207,6 @@ bool HealthMonitor::gating() {
 
 void HealthMonitor::on_transition(TransitionCallback callback) {
   transition_callbacks_.push_back(std::move(callback));
-}
-
-void HealthMonitor::start() {
-  if (ticking_) return;
-  ticking_ = true;
-  schedule_tick();
-}
-
-void HealthMonitor::stop() { ticking_ = false; }
-
-void HealthMonitor::schedule_tick() {
-  sim_.schedule_after(config_.check_interval, [this, alive = alive_] {
-    if (!*alive || !ticking_) return;
-    poll();
-    schedule_tick();
-  });
 }
 
 }  // namespace dfi

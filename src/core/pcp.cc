@@ -9,12 +9,11 @@
 
 namespace dfi {
 
-PolicyCompilationPoint::PolicyCompilationPoint(Simulator& sim, MessageBus& bus,
+PolicyCompilationPoint::PolicyCompilationPoint(MessageBus& bus,
                                                EntityResolutionManager& erm,
                                                PolicyManager& policy,
                                                PcpConfig config, TimingHook* timing)
-    : sim_(sim),
-      bus_(bus),
+    : bus_(bus),
       erm_(erm),
       policy_(policy),
       config_(config),
@@ -344,7 +343,6 @@ void PolicyCompilationPoint::observe_mac_location(Dpid dpid, PortNo port,
     retract.mac = mac;
     retract.dpid = dpid;
     retract.port = *current;
-    retract.at = sim_.now();
     bus_.publish(topics::kErmBindings, retract);
   }
   BindingEvent assert_event;
@@ -352,7 +350,6 @@ void PolicyCompilationPoint::observe_mac_location(Dpid dpid, PortNo port,
   assert_event.mac = mac;
   assert_event.dpid = dpid;
   assert_event.port = port;
-  assert_event.at = sim_.now();
   bus_.publish(topics::kErmBindings, assert_event);
 }
 

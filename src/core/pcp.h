@@ -50,7 +50,6 @@
 #include "core/policy_manager.h"
 #include "core/timing_hook.h"
 #include "openflow/messages.h"
-#include "sim/simulator.h"
 
 namespace dfi {
 
@@ -85,9 +84,9 @@ class PolicyCompilationPoint {
 
   // `timing` is the paper's timing model, or null for the live path. It
   // must outlive this object.
-  PolicyCompilationPoint(Simulator& sim, MessageBus& bus,
-                         EntityResolutionManager& erm, PolicyManager& policy,
-                         PcpConfig config, TimingHook* timing = nullptr);
+  PolicyCompilationPoint(MessageBus& bus, EntityResolutionManager& erm,
+                         PolicyManager& policy, PcpConfig config,
+                         TimingHook* timing = nullptr);
 
   // The proxy registers a direct writer to each switch's control channel.
   void register_switch(Dpid dpid, SwitchWriter writer);
@@ -215,7 +214,6 @@ class PolicyCompilationPoint {
   void count_outcome(const PcpDecision& decision);
   DecisionSnapshots capture_snapshots() const;
 
-  Simulator& sim_;
   MessageBus& bus_;
   EntityResolutionManager& erm_;
   PolicyManager& policy_;

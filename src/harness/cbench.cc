@@ -20,7 +20,7 @@ CbenchEmulator::CbenchEmulator(CbenchConfig config) : rng_(config.seed) {
   SwitchConfig switch_config;
   switch_config.dpid = kCbenchDpid;
   switch_config.table_capacity = 1 << 20;  // never the bottleneck here
-  switch_ = std::make_unique<SwitchDevice>(switch_config, [this]() { return sim_.now(); });
+  switch_ = std::make_unique<SwitchDevice>(switch_config, sim_.clock());
 
   // Wire switch <-> proxy <-> controller with zero-latency channels. The
   // proxy->switch leg counts FLOW_MOD frames: one completed DFI decision

@@ -3,13 +3,12 @@
 // The manager owns listeners and dial attempts; accepted/dialed sockets are
 // wrapped into Connections and handed to the owner. Inbound accepts are
 // gated by a total-connection cap and a per-IP limit (both counted; over-
-// limit peers are closed on the spot). dial_supervised mirrors
-// HealthMonitor::supervise_reconnect on the event-loop timer wheel: each
-// failed connect re-arms at the monitor's capped jittered exponential
-// backoff_delay(attempt), the component is held degraded (fail-secure)
-// while the link is down, and the attempt ledger lands in HealthStats so
-// the wall-clock transport and the in-process transport account reconnects
-// identically.
+// limit peers are closed on the spot). dial_supervised is the control
+// plane's reconnect supervisor: each failed connect re-arms on the
+// event-loop timer wheel at the HealthMonitor's capped jittered
+// exponential backoff_delay(attempt), the component is held degraded
+// (fail-secure) while the link is down, and the attempt ledger lands in
+// HealthStats.
 #pragma once
 
 #include <cstdint>

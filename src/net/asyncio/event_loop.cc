@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <poll.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -15,16 +14,16 @@
 #endif
 
 #include "common/logging.h"
+#include "common/sim_time.h"
 
 namespace dfi::net {
 
 namespace {
 
+// The same reader the control plane's live deadlines use (HealthMonitor
+// on the socket path), so a wheel timer and a deadline agree on "now".
 std::uint64_t monotonic_ms() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1000 +
-         static_cast<std::uint64_t>(ts.tv_nsec) / 1000000;
+  return static_cast<std::uint64_t>(monotonic_now().us / 1000);
 }
 
 bool set_nonblocking_fd(int fd) {

@@ -12,8 +12,10 @@
 //
 // Timers live on a 256-slot hashed wheel keyed by absolute monotonic
 // milliseconds: insert and cancel are O(1), expiry scans only the slots
-// (bounded, cheap at our scale). The wheel is what drives HealthMonitor
-// heartbeat deadlines and conman's capped-exponential reconnect backoff.
+// (bounded, cheap at our scale). It reads the monotonic clock the socket
+// path's HealthMonitor reads (monotonic_now(), common/sim_time.h); its
+// timers drive the frontend's deadline tick, the replication heartbeat and
+// conman's capped-exponential reconnect backoff.
 #pragma once
 
 #include <cstdint>

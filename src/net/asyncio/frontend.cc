@@ -3,13 +3,20 @@
 #include "common/logging.h"
 
 namespace dfi::net {
+namespace {
+
+constexpr std::uint64_t kTickMs = 1;
+
+}  // namespace
 
 SocketFrontend::SocketFrontend(EventLoop& loop, DfiSystem& system,
                                FrontendConfig config)
     : loop_(loop),
       system_(system),
       config_(std::move(config)),
-      conman_(loop, config_.conman, &system.health()) {}
+      conman_(loop, config_.conman, &system.health()) {
+  system_.health().set_clock(monotonic_now);
+}
 
 SocketFrontend::~SocketFrontend() {
   *alive_ = false;
@@ -104,11 +111,10 @@ void SocketFrontend::bind_session(Peer& peer) {
   auto batch_end = [this, p](const bool from_switch) {
     if (p->closing || p->session == nullptr) return;
     if (from_switch) p->session->switch_batch_end();
-    // Run whatever the batch left pending (threaded completions; modelled
-    // decisions with a paper-timed config) — possibly into *other* peers'
-    // egress queues — then push exactly the peers that received egress to
-    // the wire.
-    system_.pump();
+    // Wait out the batch's threaded completions — possibly into *other*
+    // peers' egress queues — then push exactly the peers that received
+    // egress to the wire.
+    system_.pcp().wait_idle();
     flush_dirty();
   };
 
@@ -211,10 +217,9 @@ void SocketFrontend::flush_dirty() {
 }
 
 void SocketFrontend::arm_tick() {
-  if (config_.tick_ms == 0) return;
-  loop_.schedule_after_ms(config_.tick_ms, [this, alive = alive_] {
+  loop_.schedule_after_ms(kTickMs, [this, alive = alive_] {
     if (!*alive) return;
-    system_.pump();
+    system_.pcp().wait_idle();
     system_.health().poll();
     flush_dirty();
     arm_tick();

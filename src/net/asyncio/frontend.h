@@ -10,7 +10,9 @@
 //   switch readv  -> FrameDecoder spans -> Session::switch_frame (zero-copy
 //                    FrameView into classify()) ... batch end -> submit the
 //                    Packet-in run (decided inline, at most queue_capacity
-//                    per read batch), pump the system, writev both egresses
+//                    per read batch), wait out threaded completions
+//                    (PolicyCompilationPoint::wait_idle), writev both
+//                    egresses
 //   session sink  -> the proxy's pooled frame, by move -> Connection::send
 //                    -> coalesced writev; the frame returns to the proxy's
 //                    pool after the write (or at close) — zero steady-state
@@ -19,6 +21,16 @@
 // Backpressure: when a peer's egress crosses its high watermark, the
 // frontend pauses reads on the *opposite* connection of the pair (the one
 // producing the bytes) and resumes them at the low watermark.
+//
+// Live time enters here. The constructor switches the system's
+// HealthMonitor to monotonic wall time, and a 1 ms tick on the loop's timer
+// wheel evaluates its deadlines (heartbeats, the recovering dwell), waits
+// out threaded completions and flushes egress produced outside a read
+// batch (a resync on the return to kHealthy, a revoke's flush).
+//
+// Precondition: `system` runs a functional config (DfiConfig::functional()).
+// The frontend never runs the simulator, so a paper-timed system's
+// modelled decisions and deferred deliveries would never complete.
 //
 // Teardown is session-first and fail-secure: any close — switch side,
 // controller side, send overflow — marks the peer closing on the spot
@@ -52,10 +64,6 @@ struct FrontendConfig {
   std::string controller_ip = "127.0.0.1";
   std::uint16_t controller_port = 6653;
   ConmanConfig conman;
-  // Periodic DfiSystem::pump() + HealthMonitor::poll() tick on the timer
-  // wheel: drains threaded-backend completions that finish between read
-  // batches and keeps heartbeat deadlines evaluated. 0 disables.
-  std::uint64_t tick_ms = 1;
 };
 
 struct FrontendStats {
@@ -101,6 +109,7 @@ class SocketFrontend {
   // Flush egress of exactly the peers the session sinks fed since the last
   // call.
   void flush_dirty();
+  // The periodic tick (see the file comment).
   void arm_tick();
 
   EventLoop& loop_;

@@ -42,7 +42,6 @@ class SwitchDevice {
  public:
   using PortOutputFn = std::function<void(PortNo, const std::vector<std::uint8_t>&)>;
   using ControlOutputFn = std::function<void(const std::vector<std::uint8_t>&)>;
-  using ClockFn = std::function<SimTime()>;
 
   SwitchDevice(SwitchConfig config, ClockFn clock);
 

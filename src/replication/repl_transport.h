@@ -8,9 +8,13 @@
 // degraded through HealthMonitor, and the redial schedule lands in
 // HealthStats — same ledger as every other supervised reconnect).
 //
-// Heartbeats ride the event-loop timer wheel: a repeating timer calls
-// Replica::tick_heartbeat (no-op on a standby), which keeps the standby's
-// failover clock fed through idle stretches.
+// Both sides run a repeating timer on the event-loop wheel
+// (start_heartbeats()) that calls Replica::tick_heartbeat: on the primary
+// it sends the heartbeat that keeps the standby's failover clock fed
+// through idle stretches; on the standby it evaluates that clock
+// (HealthMonitor::poll), so a dead primary is detected within
+// failover_deadline plus one heartbeat interval. The standby's monitor
+// must read monotonic wall time (monotonic_now()).
 #pragma once
 
 #include <cstdint>

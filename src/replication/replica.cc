@@ -348,7 +348,10 @@ void Replica::flush() {
 }
 
 void Replica::tick_heartbeat() {
-  if (!primary_) return;
+  if (!primary_) {
+    if (health_ != nullptr) health_->poll();
+    return;
+  }
   ReplFrame frame{FrameType::kHeartbeat, journal_.fence_epoch(), last_seq_,
                   session_nonce_, {}};
   flush();

@@ -120,8 +120,9 @@ class Replica {
   // --------------------------------------------------------------- pumping
   // Flush any batched records to the link.
   void flush();
-  // Primary liveness beat (and high-water seq, so a silent standby can
-  // detect missed records). Call on a timer; no-op on a standby.
+  // Call on a timer. A primary sends its liveness beat (and high-water seq,
+  // so a silent standby can detect missed records); a standby evaluates
+  // its failover deadline (HealthMonitor::poll), which may promote it.
   void tick_heartbeat();
 
   // Snapshot refused because this plane already holds state: the

@@ -20,8 +20,6 @@ namespace dfi {
 
 class DhcpServer {
  public:
-  using ClockFn = std::function<SimTime()>;
-
   // Pool is [base, base + pool_size) within one subnet.
   DhcpServer(MessageBus& bus, ClockFn clock, Ipv4Address pool_base,
              std::uint32_t pool_size);

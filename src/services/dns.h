@@ -17,8 +17,6 @@ namespace dfi {
 
 class DnsServer {
  public:
-  using ClockFn = std::function<SimTime()>;
-
   DnsServer(MessageBus& bus, ClockFn clock);
 
   // Add/replace an A record (dynamic DNS update on DHCP lease). A host may

@@ -63,7 +63,6 @@ struct SessionEvent {
 // the configured deadline degrades the control plane.
 struct HeartbeatEvent {
   std::string component;
-  SimTime at{};
 };
 
 // ----------------------------------------------------------- ERM bindings
@@ -88,7 +87,6 @@ struct BindingEvent {
   MacAddress mac;
   Dpid dpid;
   PortNo port;
-  SimTime at{};
 };
 
 }  // namespace dfi

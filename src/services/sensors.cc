@@ -6,9 +6,9 @@ namespace {
 
 // One liveness beat per translated source event: the HealthMonitor's view
 // of "this feed is alive" tracks the feed actually delivering data.
-void maybe_beat(MessageBus& bus, const std::string& component, SimTime at) {
+void maybe_beat(MessageBus& bus, const std::string& component) {
   if (component.empty()) return;
-  bus.publish(topics::kHealthHeartbeats, HeartbeatEvent{component, at});
+  bus.publish(topics::kHealthHeartbeats, HeartbeatEvent{component});
 }
 
 }  // namespace
@@ -27,13 +27,12 @@ IpMacSensor::IpMacSensor(MessageBus& bus)
     : bus_(bus),
       subscription_(bus.subscribe<DhcpLeaseEvent>(
           topics::kDhcpEvents, [this](const DhcpLeaseEvent& event) {
-            maybe_beat(bus_, heartbeat_component_, event.at);
+            maybe_beat(bus_, heartbeat_component_);
             BindingEvent binding;
             binding.kind = BindingKind::kIpMac;
             binding.retracted = event.released;
             binding.ip = event.ip;
             binding.mac = event.mac;
-            binding.at = event.at;
             bus_.publish(topics::kErmBindings, binding);
           })) {}
 
@@ -41,13 +40,12 @@ HostIpSensor::HostIpSensor(MessageBus& bus)
     : bus_(bus),
       subscription_(bus.subscribe<DnsRecordEvent>(
           topics::kDnsEvents, [this](const DnsRecordEvent& event) {
-            maybe_beat(bus_, heartbeat_component_, event.at);
+            maybe_beat(bus_, heartbeat_component_);
             BindingEvent binding;
             binding.kind = BindingKind::kHostIp;
             binding.retracted = event.removed;
             binding.host = event.host;
             binding.ip = event.ip;
-            binding.at = event.at;
             bus_.publish(topics::kErmBindings, binding);
           })) {}
 
@@ -55,13 +53,12 @@ UserHostSensor::UserHostSensor(MessageBus& bus)
     : bus_(bus),
       subscription_(bus.subscribe<SessionEvent>(
           topics::kSiemSessions, [this](const SessionEvent& event) {
-            maybe_beat(bus_, heartbeat_component_, event.at);
+            maybe_beat(bus_, heartbeat_component_);
             BindingEvent binding;
             binding.kind = BindingKind::kUserHost;
             binding.retracted = !event.logged_on;
             binding.user = event.user;
             binding.host = event.host;
-            binding.at = event.at;
             bus_.publish(topics::kErmBindings, binding);
           })) {}
 

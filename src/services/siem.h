@@ -21,8 +21,6 @@ namespace dfi {
 
 class SiemService {
  public:
-  using ClockFn = std::function<SimTime()>;
-
   SiemService(MessageBus& bus, ClockFn clock);
 
   // Endpoint collectors forward process lifecycle events here.

@@ -25,6 +25,11 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime now() const { return now_; }
+  // This simulator's time as a ClockFn, for components that keep deadlines
+  // or stamp events (common/sim_time.h).
+  ClockFn clock() const {
+    return [this] { return now_; };
+  }
 
   // Schedule `handler` to run at absolute time `at` (clamped to now).
   void schedule_at(SimTime at, Handler handler);

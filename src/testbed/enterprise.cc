@@ -26,7 +26,7 @@ constexpr ServerSpec kServers[] = {
 
 EnterpriseTestbed::EnterpriseTestbed(EnterpriseConfig config)
     : config_(config), rng_(config.seed) {
-  const auto clock = [this]() { return sim_.now(); };
+  const ClockFn clock = sim_.clock();
   siem_ = std::make_unique<SiemService>(bus_, clock);
   dhcp_ = std::make_unique<DhcpServer>(bus_, clock, Ipv4Address(10, 0, 0, 10), 4096);
   dns_ = std::make_unique<DnsServer>(bus_, clock);

@@ -13,8 +13,7 @@ SwitchDevice& Network::add_switch(Dpid dpid) {
   sw_config.dpid = dpid;
   sw_config.num_tables = config_.switch_tables;
   sw_config.table_capacity = config_.switch_table_capacity;
-  auto device = std::make_unique<SwitchDevice>(
-      sw_config, [this]() { return sim_.now(); });
+  auto device = std::make_unique<SwitchDevice>(sw_config, sim_.clock());
   SwitchDevice& ref = *device;
   switches_.emplace(dpid, std::move(device));
   return ref;

@@ -68,7 +68,6 @@ void WormScenario::attempt_next(std::shared_ptr<Instance> instance) {
 
 void WormScenario::attack_target(std::shared_ptr<Instance> instance,
                                  const Hostname& target) {
-  Simulator& sim = testbed_.sim();
   Host* attacker = testbed_.host(instance->host);
   Host* victim = testbed_.host(target);
   assert(attacker != nullptr && victim != nullptr);

@@ -29,7 +29,6 @@
 #include "net/asyncio/event_loop.h"
 #include "openflow/messages.h"
 #include "openflow/wire.h"
-#include "sim/simulator.h"
 
 namespace dfi::net {
 namespace {
@@ -210,20 +209,20 @@ TEST(ConmanTest, DialToClosedPortFails) {
   EXPECT_EQ(conman.connection_count(), 0u);
 }
 
-// Supervised reconnect: a HealthMonitor whose config makes the protocol
-// fast — 1ms base backoff, two attempts — so the whole supervised window
-// runs inside the test. The conman must mirror supervise_reconnect: enter a
-// degraded window on the first failure, ledger each retry, abandon after
-// max_reconnect_attempts, and close the window either way.
+// Supervised reconnect: a HealthMonitor on wall time whose config makes the
+// protocol fast — 1ms base backoff, two attempts, a 20ms recovering dwell —
+// so the whole supervised window runs inside the test. The conman must
+// enter a degraded window on the first failure, ledger each retry, abandon
+// after max_reconnect_attempts, and close the window either way.
 TEST(ConmanTest, SupervisedDialAbandonsAfterCappedBackoff) {
-  Simulator sim;
   MessageBus bus;
   HealthConfig hconfig;
   hconfig.enabled = true;
   hconfig.backoff_base = milliseconds(1.0);
   hconfig.backoff_cap = milliseconds(4.0);
   hconfig.max_reconnect_attempts = 2;
-  HealthMonitor health(sim, bus, hconfig, Rng(1));
+  hconfig.recovering_hold = milliseconds(20.0);
+  HealthMonitor health(monotonic_now, bus, hconfig, Rng(1));
 
   EventLoop loop;
   ConnectionManager conman(loop, {}, &health);
@@ -238,24 +237,26 @@ TEST(ConmanTest, SupervisedDialAbandonsAfterCappedBackoff) {
   EXPECT_EQ(result, nullptr);
   EXPECT_EQ(conman.stats().reconnects_abandoned, 1u);
   EXPECT_GE(conman.stats().reconnect_attempts, 1u);
-  // The ledger lands in HealthStats exactly as supervise_reconnect's would.
+  // The ledger lands in HealthStats.
   EXPECT_EQ(health.stats().reconnects_abandoned, 1u);
   EXPECT_GE(health.stats().backoff_retries, 1u);
   EXPECT_EQ(health.stats().degraded_entries, 1u);
-  // The window is released on abandonment (the monitor then sits in
-  // kRecovering until its holdoff elapses; refs are what must balance).
+  // The window is released on abandonment, and once the recovering dwell
+  // has passed on wall time the plane is healthy again.
   EXPECT_EQ(health.degraded_refs(), 0u);
+  ASSERT_TRUE(pump_until(loop, [&] { return !health.gating(); }));
+  EXPECT_EQ(health.state(), HealthState::kHealthy);
+  EXPECT_EQ(health.stats().degraded_exits, 1u);
 }
 
 TEST(ConmanTest, SupervisedDialRecoversWhenListenerAppears) {
-  Simulator sim;
   MessageBus bus;
   HealthConfig hconfig;
   hconfig.enabled = true;
   hconfig.backoff_base = milliseconds(1.0);
   hconfig.backoff_cap = milliseconds(4.0);
   hconfig.max_reconnect_attempts = 0;  // unlimited: the listener will appear
-  HealthMonitor health(sim, bus, hconfig, Rng(2));
+  HealthMonitor health(monotonic_now, bus, hconfig, Rng(2));
 
   EventLoop loop;
   ConnectionManager conman(loop, {}, &health);
@@ -285,6 +286,19 @@ TEST(ConmanTest, SupervisedDialRecoversWhenListenerAppears) {
   EXPECT_EQ(health.stats().reconnects_abandoned, 0u);
   EXPECT_EQ(health.degraded_refs(), 0u);
   EXPECT_EQ(health.stats().degraded_entries, 1u);
+
+  // A supervised dial to a live listener succeeds at once: no degraded
+  // window, no retry.
+  const std::uint64_t retries = health.stats().backoff_retries;
+  std::unique_ptr<Connection> immediate;
+  conman.dial_supervised("controller-link:live", "127.0.0.1", port,
+                         [&](std::unique_ptr<Connection> conn) {
+                           immediate = std::move(conn);
+                         });
+  ASSERT_TRUE(pump_until(loop, [&] { return immediate != nullptr; }));
+  EXPECT_EQ(health.stats().degraded_entries, 1u);
+  EXPECT_EQ(health.stats().backoff_retries, retries);
+  EXPECT_EQ(health.degraded_refs(), 0u);
 }
 
 TEST(ConmanTest, ReconnectBackoffIsReplayableBoundedAndResets) {
@@ -302,9 +316,8 @@ TEST(ConmanTest, ReconnectBackoffIsReplayableBoundedAndResets) {
 
   const auto schedule_for = [&](std::uint64_t seed) {
     FaultPlan plan(seed);
-    Simulator sim;
     MessageBus bus;
-    HealthMonitor health(sim, bus, hconfig, Rng(plan.rng().next_u64()));
+    HealthMonitor health(monotonic_now, bus, hconfig, Rng(plan.rng().next_u64()));
     std::vector<std::int64_t> delays;
     for (int attempt = 0; attempt < 12; ++attempt) {
       const SimDuration delay = health.backoff_delay(attempt);
@@ -335,9 +348,8 @@ TEST(ConmanTest, ReconnectBackoffIsReplayableBoundedAndResets) {
 
   // Reset: a fresh attempt-0 draw is base-scale again, far below the
   // capped tail the schedule had grown to.
-  Simulator sim;
   MessageBus bus;
-  HealthMonitor health(sim, bus, hconfig, Rng(99));
+  HealthMonitor health(monotonic_now, bus, hconfig, Rng(99));
   const std::int64_t grown = health.backoff_delay(10).us;
   const std::int64_t reset = health.backoff_delay(0).us;
   EXPECT_LT(reset, grown / 16);
@@ -352,14 +364,13 @@ TEST(ConmanTest, SupervisedDialLedgerReplaysFromSeed) {
   // many times as the first, not zero.
   const auto run_failing_supervision = [](std::uint64_t seed,
                                           HealthStats* out_stats) {
-    Simulator sim;
     MessageBus bus;
     HealthConfig hconfig;
     hconfig.enabled = true;
     hconfig.backoff_base = milliseconds(1.0);
     hconfig.backoff_cap = milliseconds(4.0);
     hconfig.max_reconnect_attempts = 3;
-    HealthMonitor health(sim, bus, hconfig, Rng(seed));
+    HealthMonitor health(monotonic_now, bus, hconfig, Rng(seed));
     EventLoop loop;
     ConnectionManager conman(loop, {}, &health);
     bool called = false;

@@ -299,13 +299,10 @@ void check_queries(Rng& rng, const Plane& recovered, const Plane& oracle,
 // (cookie == deciding rule id, so this pins exact id recovery).
 void check_table0(Rng& rng, Plane& recovered, Plane& oracle,
                   std::vector<std::string>& violations) {
-  Simulator sim_a;
-  Simulator sim_b;
   const PcpConfig config;
-  PolicyCompilationPoint pcp_a(sim_a, recovered.bus, recovered.erm,
-                               recovered.manager, config);
-  PolicyCompilationPoint pcp_b(sim_b, oracle.bus, oracle.erm, oracle.manager,
+  PolicyCompilationPoint pcp_a(recovered.bus, recovered.erm, recovered.manager,
                                config);
+  PolicyCompilationPoint pcp_b(oracle.bus, oracle.erm, oracle.manager, config);
   std::vector<std::uint8_t> wire_a;
   std::vector<std::uint8_t> wire_b;
   const auto capture = [](std::vector<std::uint8_t>& wire) {
@@ -559,7 +556,7 @@ ScheduleResult run_schedule(std::uint64_t seed) {
 // journal and Replica are one process incarnation.
 struct ReplMachine {
   ReplMachine(Simulator& sim, MessageBus& health_bus, std::uint64_t seed)
-      : health(sim, health_bus, failover_config(), Rng(seed)) {}
+      : health(sim.clock(), health_bus, failover_config(), Rng(seed)) {}
 
   static HealthConfig failover_config() {
     HealthConfig config;

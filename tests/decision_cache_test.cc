@@ -11,7 +11,6 @@
 #include "core/decision_cache.h"
 #include "core/pcp.h"
 #include "core/persistence.h"
-#include "sim/simulator.h"
 
 namespace dfi {
 namespace {
@@ -69,8 +68,7 @@ class DecisionCacheTest : public ::testing::Test {
     pcp_.reset();
     erm_ = std::make_unique<EntityResolutionManager>(bus_);
     manager_ = std::make_unique<PolicyManager>(bus_);
-    pcp_ = std::make_unique<PolicyCompilationPoint>(sim_, bus_, *erm_, *manager_,
-                                                    config);
+    pcp_ = std::make_unique<PolicyCompilationPoint>(bus_, *erm_, *manager_, config);
     pcp_->register_switch(Dpid{1}, [](const OfMessage&) {});
   }
 
@@ -110,7 +108,6 @@ class DecisionCacheTest : public ::testing::Test {
     return manager_->insert(allow, PdpPriority{10}, "test");
   }
 
-  Simulator sim_;
   MessageBus bus_;
   std::unique_ptr<EntityResolutionManager> erm_;
   std::unique_ptr<PolicyManager> manager_;

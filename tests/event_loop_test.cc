@@ -285,8 +285,8 @@ TEST_P(EventLoopBackendTest, PostedTaskMayPostAgain) {
 INSTANTIATE_TEST_SUITE_P(Backends, EventLoopBackendTest,
                          ::testing::Values(EventLoopConfig::Backend::kEpoll,
                                            EventLoopConfig::Backend::kPoll),
-                         [](const auto& info) {
-                           return info.param == EventLoopConfig::Backend::kEpoll
+                         [](const auto& param_info) {
+                           return param_info.param == EventLoopConfig::Backend::kEpoll
                                       ? "epoll"
                                       : "poll";
                          });

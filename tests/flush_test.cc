@@ -42,7 +42,7 @@ struct FlushWorld {
                            : nullptr),
         erm(bus),
         policy(bus),
-        pcp(sim, bus, erm, policy, config, timing.get()) {
+        pcp(bus, erm, policy, config, timing.get()) {
     for (std::uint64_t d : {std::uint64_t{1}, std::uint64_t{2}}) {
       devices.push_back(std::make_unique<SwitchDevice>(
           SwitchConfig{Dpid{d}, 4, 4096}, [this] { return sim.now(); }));

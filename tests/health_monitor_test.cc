@@ -1,6 +1,8 @@
-// Tests for the HealthMonitor degradation state machine, supervised
-// reconnect backoff, and the proxy's fail-secure/fail-open degraded gate
-// (DESIGN.md §6).
+// Tests for the HealthMonitor degradation state machine, reconnect backoff
+// draws, failover, and the proxy's fail-secure/fail-open degraded gate
+// (DESIGN.md §6). Supervised reconnects are tested where they run, on the
+// event loop (conman_test); live deadlines on wall time in
+// socket_frontend_test and replication_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +24,7 @@ HealthConfig enabled_config() {
 
 class HealthMonitorTest : public ::testing::Test {
  protected:
-  HealthMonitorTest() : monitor_(sim_, bus_, enabled_config(), Rng(7)) {}
+  HealthMonitorTest() : monitor_(sim_.clock(), bus_, enabled_config(), Rng(7)) {}
 
   Simulator sim_;
   MessageBus bus_;
@@ -34,7 +36,7 @@ TEST_F(HealthMonitorTest, StartsHealthyAndGatesOnlyWhenEnabled) {
   EXPECT_FALSE(monitor_.gating());
 
   HealthConfig disabled;  // enabled = false
-  HealthMonitor off(sim_, bus_, disabled, Rng(7));
+  HealthMonitor off(sim_.clock(), bus_, disabled, Rng(7));
   off.enter_degraded("test");
   EXPECT_FALSE(off.gating());  // disabled monitoring never gates
   EXPECT_EQ(off.state(), HealthState::kDegraded);  // but still tracks state
@@ -95,14 +97,14 @@ TEST_F(HealthMonitorTest, MissedHeartbeatDegradesAndResumeRecovers) {
   EXPECT_GE(monitor_.stats().deadline_misses, 1u);
 
   // A beat over the bus clears the condition.
-  bus_.publish(topics::kHealthHeartbeats, HeartbeatEvent{"sensor.dhcp", sim_.now()});
+  bus_.publish(topics::kHealthHeartbeats, HeartbeatEvent{"sensor.dhcp"});
   EXPECT_EQ(monitor_.state(), HealthState::kRecovering);
   EXPECT_GE(monitor_.stats().heartbeats, 1u);
 
   sim_.schedule_after(seconds(1.5), [] {});
   sim_.run();
   // Keep beating so the deadline stays met through the dwell.
-  bus_.publish(topics::kHealthHeartbeats, HeartbeatEvent{"sensor.dhcp", sim_.now()});
+  bus_.publish(topics::kHealthHeartbeats, HeartbeatEvent{"sensor.dhcp"});
   EXPECT_EQ(monitor_.state(), HealthState::kHealthy);
 }
 
@@ -238,56 +240,6 @@ TEST_F(HealthMonitorTest, BackoffIsCappedExponentialWithBoundedJitter) {
               unjittered * (1.0 + config.backoff_jitter) + 1.0)
         << "attempt " << attempt;
   }
-}
-
-TEST_F(HealthMonitorTest, SupervisedReconnectRetriesUntilSuccess) {
-  int calls = 0;
-  monitor_.supervise_reconnect("controller", [&calls] {
-    ++calls;
-    return calls >= 4;  // immediate try + 3 scheduled retries
-  });
-  EXPECT_EQ(monitor_.state(), HealthState::kDegraded);  // window open
-  sim_.run();
-  EXPECT_EQ(calls, 4);
-  EXPECT_EQ(monitor_.stats().backoff_retries, 3u);
-  EXPECT_EQ(monitor_.degraded_refs(), 0u);  // window closed on success
-  EXPECT_EQ(monitor_.stats().reconnects_abandoned, 0u);
-}
-
-TEST_F(HealthMonitorTest, SupervisedReconnectImmediateSuccessNeverDegrades) {
-  monitor_.supervise_reconnect("controller", [] { return true; });
-  EXPECT_EQ(monitor_.state(), HealthState::kHealthy);
-  EXPECT_EQ(monitor_.stats().backoff_retries, 0u);
-}
-
-TEST_F(HealthMonitorTest, SupervisedReconnectAbandonsAfterMaxAttempts) {
-  HealthConfig config = enabled_config();
-  config.max_reconnect_attempts = 3;
-  HealthMonitor monitor(sim_, bus_, config, Rng(11));
-  int calls = 0;
-  monitor.supervise_reconnect("siem", [&calls] {
-    ++calls;
-    return false;
-  });
-  sim_.run();
-  EXPECT_EQ(calls, 4);  // immediate + 3 retries
-  EXPECT_EQ(monitor.stats().backoff_retries, 3u);
-  EXPECT_EQ(monitor.stats().reconnects_abandoned, 1u);
-  EXPECT_EQ(monitor.degraded_refs(), 0u);  // window released on abandonment
-}
-
-TEST_F(HealthMonitorTest, PeriodicTickPollsUntilStopped) {
-  monitor_.watch("feed");
-  monitor_.start();
-  // The tick chain re-evaluates without any explicit poll(); the feed goes
-  // silent, so a later tick must catch the deadline miss.
-  sim_.run_until(sim_.now() + seconds(5.0));
-  EXPECT_EQ(monitor_.state(), HealthState::kDegraded);
-  monitor_.stop();
-  const SimTime stopped_at = sim_.now();
-  sim_.run();
-  // No self-rescheduling after stop(): the DES drains.
-  EXPECT_LE((sim_.now() - stopped_at).us, seconds(2.0).us);
 }
 
 // ----------------------------------------------------- proxy degraded gate

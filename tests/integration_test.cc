@@ -289,8 +289,7 @@ TEST_F(IntegrationTest, ParallelControlPlaneInstancesShareState) {
   // PCP + proxy sharing the same ERM/Policy Manager over the same bus, and
   // attach a new switch through it. Policy changes must reach rules cached
   // via *both* instances.
-  PolicyCompilationPoint second_pcp(sim_, bus_, dfi_.erm(), dfi_.policy_manager(),
-                                    PcpConfig{});
+  PolicyCompilationPoint second_pcp(bus_, dfi_.erm(), dfi_.policy_manager(), PcpConfig{});
   DfiProxy second_proxy(second_pcp, [this](std::function<void()> deliver) {
     sim_.schedule_after(SimDuration{}, std::move(deliver));
   });

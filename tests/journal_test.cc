@@ -549,7 +549,7 @@ TEST(Journal, FileStoreIoFailureOpensDegradedWindow) {
   HealthConfig config;
   config.enabled = true;
   config.recovering_hold = milliseconds(0);
-  HealthMonitor health(sim, bus, config, Rng(7));
+  HealthMonitor health(sim.clock(), bus, config, Rng(7));
 
   const std::string path = ::testing::TempDir() + "no_such_dir_dfi/j.wal";
   FileJournalStore store(path);
@@ -578,7 +578,7 @@ TEST(Journal, FileStoreRecoversHealthAfterSuccessfulDurableOp) {
   HealthConfig config;
   config.enabled = true;
   config.recovering_hold = milliseconds(0);
-  HealthMonitor health(sim, bus, config, Rng(7));
+  HealthMonitor health(sim.clock(), bus, config, Rng(7));
 
   const std::string path = ::testing::TempDir() + "dfi_journal_health.wal";
   std::remove(path.c_str());

@@ -24,8 +24,8 @@ class PaperTimedPcpTest : public ::testing::Test {
                                             /*service_scale=*/1.0, /*seed=*/1);
     erm_ = std::make_unique<EntityResolutionManager>(bus_);
     manager_ = std::make_unique<PolicyManager>(bus_);
-    pcp_ = std::make_unique<PolicyCompilationPoint>(sim_, bus_, *erm_, *manager_,
-                                                    config, timing_.get());
+    pcp_ = std::make_unique<PolicyCompilationPoint>(bus_, *erm_, *manager_, config,
+                                                    timing_.get());
     pcp_->register_switch(Dpid{1}, [](const OfMessage&) {});
   }
 

@@ -6,7 +6,6 @@
 
 #include "bus/message_bus.h"
 #include "core/pcp.h"
-#include "sim/simulator.h"
 
 namespace dfi {
 namespace {
@@ -19,8 +18,7 @@ class PcpTest : public ::testing::Test {
     pcp_.reset();
     erm_ = std::make_unique<EntityResolutionManager>(bus_);
     manager_ = std::make_unique<PolicyManager>(bus_);
-    pcp_ = std::make_unique<PolicyCompilationPoint>(sim_, bus_, *erm_, *manager_,
-                                                    config);
+    pcp_ = std::make_unique<PolicyCompilationPoint>(bus_, *erm_, *manager_, config);
     installed_.clear();
     pcp_->register_switch(Dpid{1}, [this](const OfMessage& message) {
       installed_.push_back(message);
@@ -53,7 +51,6 @@ class PcpTest : public ::testing::Test {
     return mods;
   }
 
-  Simulator sim_;
   MessageBus bus_;
   std::unique_ptr<EntityResolutionManager> erm_;
   std::unique_ptr<PolicyManager> manager_;
@@ -249,7 +246,6 @@ TEST_F(PcpTest, InlineAdmissionBoundSpansRunsOfOneReadBatch) {
   // A new read batch starts a new bound.
   auto third = run(2);
   EXPECT_EQ(pcp_->handle_packet_in_batch(third, 0), 2u);
-  EXPECT_TRUE(sim_.empty());  // nothing was scheduled
 }
 
 }  // namespace

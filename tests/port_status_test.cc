@@ -213,7 +213,7 @@ TEST(PortStatusProxy, PassthroughBothWays) {
   EntityResolutionManager erm(bus);
   PolicyManager manager(bus);
   PcpConfig pcp_config;
-  PolicyCompilationPoint pcp(sim, bus, erm, manager, pcp_config);
+  PolicyCompilationPoint pcp(bus, erm, manager, pcp_config);
   DfiProxy proxy(pcp, [&sim](std::function<void()> deliver) {
     sim.schedule_after(SimDuration{}, std::move(deliver));
   });

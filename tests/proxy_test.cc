@@ -15,7 +15,7 @@ class ProxyTest : public ::testing::Test {
   ProxyTest()
       : erm_(bus_),
         manager_(bus_),
-        pcp_(sim_, bus_, erm_, manager_, PcpConfig{}),
+        pcp_(bus_, erm_, manager_, PcpConfig{}),
         proxy_(pcp_, [this](std::function<void()> deliver) {
           sim_.schedule_after(SimDuration{}, std::move(deliver));
         }),
@@ -385,7 +385,7 @@ TEST(ProxyTeardown, ThreadedDecisionsInFlightAtDestroy) {
   PcpConfig config;
   config.backend = PcpBackend::kThreads;
   config.shards = 2;
-  PolicyCompilationPoint pcp(sim, bus, erm, manager, config);
+  PolicyCompilationPoint pcp(bus, erm, manager, config);
   DfiProxy proxy(pcp, [&sim](std::function<void()> deliver) {
     sim.schedule_after(SimDuration{}, std::move(deliver));
   });

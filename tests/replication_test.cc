@@ -440,8 +440,8 @@ TEST(Replication, FailoverPromotionBumpsFenceAndTakesOver) {
   HealthConfig hc;
   hc.enabled = true;
   hc.failover_deadline = seconds(2.0);
-  HealthMonitor health_a(sim, health_bus, hc, Rng(1));
-  HealthMonitor health_b(sim, health_bus, hc, Rng(2));
+  HealthMonitor health_a(sim.clock(), health_bus, hc, Rng(1));
+  HealthMonitor health_b(sim.clock(), health_bus, hc, Rng(2));
 
   Node a(11, &health_a);
   Node b(22, &health_b);
@@ -529,6 +529,57 @@ TEST(Replication, TransportStreamsOverRealLoopbackSockets) {
   ASSERT_TRUE(pump_until(loop, [&] {
     return a.replica->retransmit_buffered() == 0;
   }));
+}
+
+// A live standby whose primary dies: its failover deadline runs on wall
+// time and is evaluated on the replication link's own timer, so it
+// promotes and bumps its fence with nothing running but the event loop.
+TEST(Replication, TransportStandbyPromotesOnWallTimeWhenPrimaryDies) {
+  constexpr std::uint64_t kHeartbeatMs = 20;
+  constexpr auto kFailoverDeadline = std::chrono::milliseconds(100);
+  constexpr auto kSlack = std::chrono::milliseconds(150);
+  net::EventLoop loop;
+  net::ConnectionManager conman_a(loop, {});
+  net::ConnectionManager conman_b(loop, {});
+  MessageBus health_bus;
+  HealthConfig hc;
+  hc.enabled = true;
+  hc.failover_deadline = milliseconds(100.0);
+  HealthMonitor health_b(monotonic_now, health_bus, hc, Rng(2));
+
+  Node a(11);
+  Node b(22, &health_b);
+  health_b.enable_failover(ReplicaRole::kStandby, [&] { b.replica->promote(); });
+  auto transport_a =
+      std::make_unique<ReplTransport>(loop, conman_a, *a.replica, kHeartbeatMs);
+  ReplTransport transport_b(loop, conman_b, *b.replica, kHeartbeatMs);
+
+  a.replica->become_primary();
+  const auto port = transport_a->listen("127.0.0.1", 0);
+  ASSERT_TRUE(port.ok()) << port.error().message;
+  transport_b.dial("127.0.0.1", port.value());
+  transport_a->start_heartbeats();
+  transport_b.start_heartbeats();
+  ASSERT_TRUE(pump_until(loop, [&] { return b.replica->stats().snapshots_installed == 1; }));
+  const std::size_t ops = run_script(a);
+  ASSERT_TRUE(pump_until(loop, [&] { return b.replica->stats().records_applied == ops; }));
+
+  // While the primary beats, three deadlines pass without a promotion.
+  const auto beating_until = std::chrono::steady_clock::now() + 3 * kFailoverDeadline;
+  ASSERT_TRUE(pump_until(loop, [&] { return std::chrono::steady_clock::now() > beating_until; }));
+  EXPECT_EQ(health_b.role(), ReplicaRole::kStandby);
+  EXPECT_EQ(health_b.stats().promotions, 0u);
+
+  // The primary's process dies with its transport.
+  const auto killed = std::chrono::steady_clock::now();
+  transport_a.reset();
+  ASSERT_TRUE(pump_until(loop, [&] { return health_b.role() == ReplicaRole::kPrimary; }));
+  EXPECT_LE(std::chrono::steady_clock::now() - killed,
+            kFailoverDeadline + std::chrono::milliseconds(kHeartbeatMs) + kSlack);
+  EXPECT_EQ(health_b.stats().promotions, 1u);
+  EXPECT_TRUE(b.replica->is_primary());
+  EXPECT_EQ(b.journal->fence_epoch(), 1u);
+  EXPECT_EQ(b.image(), a.image());
 }
 
 // A bootstrap snapshot far larger than the loopback socket buffers: the

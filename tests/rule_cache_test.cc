@@ -6,7 +6,6 @@
 #include "bus/message_bus.h"
 #include "core/pcp.h"
 #include "core/rule_cache.h"
-#include "sim/simulator.h"
 
 namespace dfi {
 namespace {
@@ -154,7 +153,7 @@ class CachingPcpTest : public ::testing::Test {
  protected:
   CachingPcpTest()
       : erm_(bus_), manager_(bus_),
-        pcp_(sim_, bus_, erm_, manager_, caching_config()) {
+        pcp_(bus_, erm_, manager_, caching_config()) {
     pcp_.register_switch(Dpid{1}, [this](const OfMessage& message) {
       if (const auto* mod = std::get_if<FlowModMsg>(&message.payload)) {
         if (mod->command == FlowModCommand::kAdd) adds_.push_back(*mod);
@@ -179,7 +178,6 @@ class CachingPcpTest : public ::testing::Test {
     return msg;
   }
 
-  Simulator sim_;
   MessageBus bus_;
   EntityResolutionManager erm_;
   PolicyManager manager_;
@@ -253,7 +251,7 @@ TEST_F(CachingPcpTest, DecisionsIdenticalWithAndWithoutCaching) {
   manager_.insert(deny_ssh, PdpPriority{20}, "t");
 
   PcpConfig exact_config;
-  PolicyCompilationPoint exact_pcp(sim_, bus_, erm_, manager_, exact_config);
+  PolicyCompilationPoint exact_pcp(bus_, erm_, manager_, exact_config);
   exact_pcp.register_switch(Dpid{1}, [](const OfMessage&) {});
 
   for (std::uint16_t dst_port : {22, 80, 443, 445}) {

@@ -7,7 +7,7 @@
 // The workload is a deterministic script of batches. Each batch applies a
 // few control-plane operations (policy insert/revoke, binding assert/
 // retract) and then offers a burst of Packet-ins; the pool is drained
-// (`sim.run()` / `wait_idle()`) before the next batch, matching the
+// (`wait_idle()`) before the next batch, matching the
 // threaded backend's consistency contract: snapshots are captured at
 // submission, so control-plane mutations take effect at drain boundaries.
 // Within a batch everything is fair game — repeated flows (decision-cache
@@ -27,7 +27,6 @@
 #include "bus/message_bus.h"
 #include "core/pcp.h"
 #include "openflow/wire.h"
-#include "sim/simulator.h"
 
 namespace dfi {
 namespace {
@@ -193,7 +192,7 @@ PacketResult result_of(const PcpDecision& decision) {
 // wire-level record of everything the PCP wrote to its two switches.
 struct World {
   explicit World(const PcpConfig& config)
-      : erm(bus), policy(bus), pcp(sim, bus, erm, policy, config) {
+      : erm(bus), policy(bus), pcp(bus, erm, policy, config) {
     for (std::uint64_t d : {std::uint64_t{1}, std::uint64_t{2}}) {
       pcp.register_switch(Dpid{d}, [this, d](const OfMessage& message) {
         // Tag with the receiving switch so the byte records only compare
@@ -232,7 +231,6 @@ struct World {
     return msg;
   }
 
-  Simulator sim;
   MessageBus bus;
   EntityResolutionManager erm;
   PolicyManager policy;
@@ -259,7 +257,7 @@ void run_oracle(World& world, const std::vector<Batch>& script) {
 // submission index: with several simulated shards, service completions may
 // legitimately interleave across shards out of submission order, but each
 // packet's verdict and compiled rule must still match the oracle's.
-void run_pool(World& world, const std::vector<Batch>& script, PcpBackend backend) {
+void run_pool(World& world, const std::vector<Batch>& script) {
   for (const Batch& batch : script) {
     for (const ControlOp& op : batch.control) world.apply(op);
     for (const PacketOp& packet : batch.packets) {
@@ -272,11 +270,7 @@ void run_pool(World& world, const std::vector<Batch>& script, PcpBackend backend
           });
       ASSERT_TRUE(accepted) << "queue sized to never drop in this test";
     }
-    if (backend == PcpBackend::kSimulated) {
-      world.sim.run();
-    } else {
-      world.pcp.wait_idle();
-    }
+    world.pcp.wait_idle();
   }
 }
 
@@ -293,7 +287,7 @@ PcpConfig base_config() {
 // identical to "snapshot per packet": control-plane mutations only happen at
 // round boundaries, where the pool is drained.
 void run_pool_batched(World& world, const std::vector<Batch>& script,
-                      PcpBackend backend, std::size_t burst) {
+                      std::size_t burst) {
   for (const Batch& batch : script) {
     for (const ControlOp& op : batch.control) world.apply(op);
     std::size_t offset = 0;
@@ -315,11 +309,7 @@ void run_pool_batched(World& world, const std::vector<Batch>& script,
       for (const auto& item : items) ASSERT_TRUE(item.accepted);
       offset += n;
     }
-    if (backend == PcpBackend::kSimulated) {
-      world.sim.run();
-    } else {
-      world.pcp.wait_idle();
-    }
+    world.pcp.wait_idle();
   }
 }
 
@@ -346,7 +336,7 @@ TEST(ShardPoolDifferential, AllShardCountsAndBackendsMatchOracleByteForByte) {
       config.backend = backend;
       config.shards = shards;
       World world(config);
-      run_pool(world, script, backend);
+      run_pool(world, script);
 
       // Same insert sequence -> same rule-id sequence in every world.
       ASSERT_EQ(world.inserted.size(), oracle.inserted.size());
@@ -401,7 +391,7 @@ TEST(ShardPoolDifferential, MultipleShardsActuallyShareTheLoad) {
   PcpConfig config = base_config();
   config.shards = 8;
   World world(config);
-  run_pool(world, script, PcpBackend::kSimulated);
+  run_pool(world, script);
 
   std::size_t shards_used = 0;
   for (std::size_t s = 0; s < world.pcp.shard_count(); ++s) {
@@ -454,7 +444,7 @@ TEST(ShardPoolBatch, BatchSizesAreByteIdenticalToPerPacket) {
   reference_config.backend = PcpBackend::kThreads;
   reference_config.shards = 4;
   World reference(reference_config);
-  run_pool(reference, script, PcpBackend::kThreads);
+  run_pool(reference, script);
   ASSERT_FALSE(reference.add_writes.empty());
 
   for (const PcpBackend backend : {PcpBackend::kSimulated, PcpBackend::kThreads}) {
@@ -469,7 +459,7 @@ TEST(ShardPoolBatch, BatchSizesAreByteIdenticalToPerPacket) {
       config.backend = backend;
       config.shards = 4;
       World world(config);
-      run_pool_batched(world, script, backend, burst);
+      run_pool_batched(world, script, burst);
 
       ASSERT_EQ(world.results.size(), reference.results.size());
       for (std::size_t i = 0; i < world.results.size(); ++i) {
@@ -561,7 +551,6 @@ PcpConfig fault_pool_config(std::size_t shards) {
 }
 
 TEST(ShardPoolFaults, WaitIdleSurvivesWorkerKill) {
-  Simulator sim;
   PcpShardPool pool(fault_pool_config(1));
   // Kill the worker on the last submitted job. Deterministic: the FIFO
   // worker cannot probe seq 3 before it is submitted, so seqs 0-2 are
@@ -584,7 +573,6 @@ TEST(ShardPoolFaults, WaitIdleSurvivesWorkerKill) {
 }
 
 TEST(ShardPoolFaults, KilledShardRejectsSubmissionsUntilRespawn) {
-  Simulator sim;
   PcpShardPool pool(fault_pool_config(2));
   pool.set_worker_fault_probe([](std::size_t shard, std::uint64_t seq) {
     return (shard == 0 && seq == 0) ? WorkerFault::kKill : WorkerFault::kNone;
@@ -618,7 +606,6 @@ TEST(ShardPoolFaults, KilledShardRejectsSubmissionsUntilRespawn) {
 }
 
 TEST(ShardPoolFaults, StrandedJobsRecoverInlineInSubmissionOrder) {
-  Simulator sim;
   PcpShardPool pool(fault_pool_config(1));
   // Kill on the first job: everything still queued behind it is stranded on
   // the dead shard and must run inline on the control thread. How many of
@@ -646,7 +633,6 @@ TEST(ShardPoolFaults, StrandedJobsRecoverInlineInSubmissionOrder) {
 }
 
 TEST(ShardPoolFaults, StallsDelayButPreserveSubmissionOrder) {
-  Simulator sim;
   PcpShardPool pool(fault_pool_config(2));
   // Shard 0 stalls on every job while shard 1 races ahead; the reorder
   // buffer must still release effects in global submission order.

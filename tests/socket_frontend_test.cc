@@ -6,8 +6,10 @@
 // supervised backoff, and fail-secure teardown with frames in flight.
 //
 // Also pins the live-path contract (DESIGN.md §9): Packet-ins over a socket
-// do no simulator work, and one read batch is admitted only up to the
-// PCP's queue_capacity, fail-secure past it.
+// do no simulator work, one read batch is admitted only up to the PCP's
+// queue_capacity, fail-secure past it, and the HealthMonitor's deadlines
+// (the recovering dwell after a boot recovery, a component's heartbeat)
+// elapse on wall time, evaluated by the frontend's tick alone.
 //
 // Single-threaded: the event loop is pumped from the test thread.
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 
 #include "bus/message_bus.h"
 #include "core/dfi_system.h"
+#include "core/journal.h"
 #include "net/asyncio/event_loop.h"
 #include "net/asyncio/frontend.h"
 #include "net/packet.h"
@@ -256,7 +259,7 @@ ReferenceRun run_reference(const std::vector<Step>& script, DfiConfig config) {
     } else {
       session.from_controller(step.frame);
     }
-    system.pump();
+    sim.run();
     run.checkpoints.emplace_back(run.to_switch.size(), run.to_controller.size());
   }
   system.proxy().destroy_session(session);
@@ -450,10 +453,8 @@ TEST(SocketFrontendTest, EgressOverflowSeversOffTheSendFnStack) {
     sw.drain();
     return sw.eof;
   }));
-  ASSERT_TRUE(world.pump_until([&] {
-    world.system.pump();
-    return world.system.proxy().buffer_pool().in_use() == 0;
-  }));
+  ASSERT_TRUE(world.pump_until(
+      [&] { return world.system.proxy().buffer_pool().in_use() == 0; }));
 }
 
 TEST(SocketFrontendTest, TeardownWithFramesInFlightHoldsLivenessToken) {
@@ -492,10 +493,8 @@ TEST(SocketFrontendTest, TeardownWithFramesInFlightHoldsLivenessToken) {
   ASSERT_TRUE(world.pump_until(
       [&] { return world.frontend->stats().sessions_closed == 1; }));
   ASSERT_TRUE(world.pump_until([&] { return world.frontend->peer_count() == 0; }));
-  ASSERT_TRUE(world.pump_until([&] {
-    world.system.pump();
-    return world.system.proxy().buffer_pool().in_use() == 0;
-  }));
+  ASSERT_TRUE(world.pump_until(
+      [&] { return world.system.proxy().buffer_pool().in_use() == 0; }));
   EXPECT_EQ(world.system.proxy().session_count(), 0u);
 
   // The frontend stays serviceable: a fresh switch can connect and bind.
@@ -506,13 +505,22 @@ TEST(SocketFrontendTest, TeardownWithFramesInFlightHoldsLivenessToken) {
 
 // ------------------------------------------------- the live-path contract
 
+PolicyRule allow_all_rule() {
+  PolicyRule allow_all;
+  allow_all.action = PolicyAction::kAllow;
+  return allow_all;
+}
+
 // A bound session with an allow-all policy: every parsable table-0 miss is
 // decided, installed and forwarded.
 struct LiveSession {
   FrontendWorld world;
   RawPeer sw;
 
-  bool open(std::uint64_t dpid) {
+  explicit LiveSession(DfiConfig config = DfiConfig::functional()) : world(config) {}
+
+  // Start the frontend and complete one switch's handshake.
+  bool connect(std::uint64_t dpid) {
     if (!world.start()) return false;
     sw.fd = connect_switch(world.port).release();
     if (!world.pump_until(
@@ -526,15 +534,15 @@ struct LiveSession {
         world.controller.link()->send_frame(step.frame);
       }
     }
-    if (!world.pump_until([&] {
-          world.controller.link()->drain();
-          return world.controller.link()->received.size() >= 16;
-        })) {
-      return false;
-    }
-    PolicyRule allow_all;
-    allow_all.action = PolicyAction::kAllow;
-    world.system.policy_manager().insert(allow_all, PdpPriority{1}, "allow-all");
+    return world.pump_until([&] {
+      world.controller.link()->drain();
+      return world.controller.link()->received.size() >= 16;
+    });
+  }
+
+  bool open(std::uint64_t dpid) {
+    if (!connect(dpid)) return false;
+    world.system.policy_manager().insert(allow_all_rule(), PdpPriority{1}, "allow-all");
     return true;
   }
 
@@ -550,18 +558,18 @@ struct LiveSession {
     return encode(OfMessage{xid, pin});
   }
 
-  // Table-0 installs the switch has read / xids the controller has read.
-  std::size_t installs() {
+  // Table-0 FlowMods of one command the switch has read (kAdd: installs;
+  // kDelete: flushes and resync clears) / xids the controller has read.
+  std::size_t table0_mods(FlowModCommand command) {
     sw.drain();
     std::size_t n = 0;
-    for_each_frame(sw.received, [&n](const OfMessage& message) {
+    for_each_frame(sw.received, [&n, command](const OfMessage& message) {
       const auto* mod = std::get_if<FlowModMsg>(&message.payload);
-      if (mod != nullptr && mod->command == FlowModCommand::kAdd && mod->table_id == 0) {
-        ++n;
-      }
+      if (mod != nullptr && mod->command == command && mod->table_id == 0) ++n;
     });
     return n;
   }
+  std::size_t installs() { return table0_mods(FlowModCommand::kAdd); }
   std::vector<std::uint32_t> forwarded() {
     world.controller.pump();
     std::vector<std::uint32_t> xids;
@@ -629,6 +637,99 @@ TEST(SocketFrontendTest, ReadBatchAdmissionBoundIsFailSecure) {
   ASSERT_EQ(xids.size(), capacity);
   for (std::uint32_t i = 0; i < capacity; ++i) EXPECT_EQ(xids[i], 4000 + i);
   EXPECT_EQ(live.world.system.proxy().stats().packet_ins_suppressed, 1u);
+}
+
+// ------------------------------------------------ live deadlines, wall time
+
+// A deployment that recovers its store at boot, then serves: the system is
+// built as the loopback benchmark builds it (DfiSystem over a Simulator,
+// DfiConfig::functional()), with monitoring on. recover_from() runs before
+// the frontend exists, so the recovering dwell starts on the simulator's
+// clock; the frontend moves it to wall time, where it elapses with nothing
+// but the event loop running.
+TEST(SocketFrontendTest, BootRecoveryDwellElapsesOnWallTime) {
+  InMemoryJournalStore store;
+  {
+    Simulator sim;
+    MessageBus bus;
+    DfiSystem writer(sim, bus, DfiConfig::functional());
+    Journal journal(store);
+    writer.enable_durability(journal);
+    writer.policy_manager().insert(allow_all_rule(), PdpPriority{1}, "allow-all");
+  }
+
+  DfiConfig config = DfiConfig::functional();
+  config.health.enabled = true;
+  config.health.recovering_hold = milliseconds(250.0);
+  LiveSession live(config);
+  Journal journal(store);
+  const auto recovery = live.world.system.recover_from(journal);
+  ASSERT_TRUE(recovery.ok()) << recovery.error().message;
+  ASSERT_EQ(live.world.system.health().state(), HealthState::kRecovering);
+  const auto frontend_started = std::chrono::steady_clock::now();
+  ASSERT_TRUE(live.connect(0x71));
+
+  // Right after the frontend starts the dwell still gates: a table-0 miss
+  // is suppressed fail-secure, never decided or forwarded.
+  live.sw.send_frame(LiveSession::miss(6000, 6000));
+  ASSERT_TRUE(live.world.pump_until(
+      [&] { return live.world.system.proxy().stats().degraded_suppressed == 1; }));
+  EXPECT_EQ(live.world.system.pcp().stats().packet_ins, 0u);
+
+  // Once the dwell has passed on wall time the frontend's tick declares the
+  // plane healthy, and the return to kHealthy resyncs Table 0 on the wire.
+  ASSERT_TRUE(live.world.pump_until(
+      [&] { return live.table0_mods(FlowModCommand::kDelete) == 1; }));
+  EXPECT_GE(std::chrono::steady_clock::now() - frontend_started,
+            std::chrono::milliseconds(250));
+  EXPECT_EQ(live.world.system.health().state(), HealthState::kHealthy);
+  EXPECT_EQ(live.world.system.pcp().stats().resync_clears, 1u);
+
+  // The next table-0 miss is decided against the recovered policy,
+  // installed and forwarded.
+  live.sw.send_frame(LiveSession::miss(6001, 6001));
+  ASSERT_TRUE(live.world.pump_until([&] {
+    return live.installs() == 1 && live.forwarded().size() == 1;
+  }));
+  EXPECT_EQ(live.forwarded().front(), 6001u);
+  EXPECT_EQ(live.world.system.pcp().stats().allowed, 1u);
+  EXPECT_EQ(live.world.system.proxy().stats().degraded_suppressed, 1u);
+}
+
+// A watched component that stops beating degrades the plane once its
+// deadline has passed on wall time, through the frontend's tick alone; a
+// beat recovers it.
+TEST(SocketFrontendTest, SilentComponentDegradesOnWallTimeThroughTheTick) {
+  DfiConfig config = DfiConfig::functional();
+  config.health.enabled = true;
+  config.health.heartbeat_deadline = milliseconds(100.0);
+  config.health.recovering_hold = seconds(0.0);  // a beat recovers at once
+  LiveSession live(config);
+  ASSERT_TRUE(live.open(0x72));
+  HealthMonitor& health = live.world.system.health();
+
+  health.watch("sensor.siem");
+  const auto watched = std::chrono::steady_clock::now();
+  ASSERT_EQ(health.state(), HealthState::kHealthy);
+  ASSERT_TRUE(live.world.pump_until(
+      [&] { return health.state() == HealthState::kDegraded; }));
+  EXPECT_GE(std::chrono::steady_clock::now() - watched, std::chrono::milliseconds(100));
+  EXPECT_GE(health.stats().deadline_misses, 1u);
+
+  // Fail-secure while degraded: the miss never reaches the PCP or the
+  // controller.
+  live.sw.send_frame(LiveSession::miss(7000, 7000));
+  ASSERT_TRUE(live.world.pump_until(
+      [&] { return live.world.system.proxy().stats().degraded_suppressed == 1; }));
+  EXPECT_EQ(live.world.system.pcp().stats().packet_ins, 0u);
+  EXPECT_TRUE(live.forwarded().empty());
+
+  // The feed beats again: the plane recovers and resyncs Table 0.
+  live.world.bus.publish(topics::kHealthHeartbeats, HeartbeatEvent{"sensor.siem"});
+  EXPECT_EQ(health.state(), HealthState::kHealthy);
+  EXPECT_EQ(health.stats().degraded_exits, 1u);
+  ASSERT_TRUE(live.world.pump_until(
+      [&] { return live.table0_mods(FlowModCommand::kDelete) == 1; }));
 }
 
 }  // namespace

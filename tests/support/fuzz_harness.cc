@@ -105,7 +105,7 @@ class FuzzWorld {
         policy_(bus_),
         sensors_(bus_),
         model_(bus_),  // after erm_: mirrors each binding event post-apply
-        pcp_(sim_, bus_, erm_, policy_, pcp_config(options)),
+        pcp_(bus_, erm_, policy_, pcp_config(options)),
         proxy_(pcp_, [this](std::function<void()> deliver) {
           sim_.schedule_after(SimDuration{}, std::move(deliver));
         }) {
@@ -636,7 +636,6 @@ class FuzzWorld {
         event.ip = ip_of(e);
         event.mac = mac_of(plan_.chance(0.25) ? (e + 1) % kEntities : e);
         event.retracted = plan_.chance(0.3);
-        event.at = sim_.now();
         plan_.note("flap e=" + std::to_string(e) +
                    (event.retracted ? " retract" : " assert"));
         flap_->offer(event);

@@ -1,7 +1,13 @@
 #!/usr/bin/env bash
 # Repo check, split into stages so CI can run them as separate jobs:
 #
-#   tier1  configure + build + full ctest suite (the 400+ tier-1 tests),
+#   tier1  a layering gate: no header or source under src/net,
+#          src/replication, src/openflow or src/core may depend (g++ -MM)
+#          on a file under src/sim/ — the control plane reads time through
+#          a ClockFn (common/sim_time.h); only the composition root
+#          (core/dfi_system.cc) and the simulated testbed's time-of-day PDP
+#          (core/pdps/time_of_day.{h,cc}) reach the simulator. Then
+#          configure + build + full ctest suite (the 600 tier-1 tests),
 #          then the proxy-datapath, scale-out, entity-plane and socket-
 #          datapath benches in smoke mode, each gated against its committed
 #          baseline under bench/baselines/
@@ -59,6 +65,20 @@ fi
 want() { local s; for s in "${STAGES[@]}"; do [[ "$s" == "$1" ]] && return 0; done; return 1; }
 
 if want tier1; then
+  echo "== tier-1: layering gate (nothing under net/replication/openflow/core reaches sim/) =="
+  LAYERING_ALLOW=(src/core/dfi_system.cc src/core/pdps/time_of_day.h
+    src/core/pdps/time_of_day.cc)
+  layering_violations=0
+  while IFS= read -r file; do
+    [[ " ${LAYERING_ALLOW[*]} " == *" ${file} "* ]] && continue
+    deps="$(g++ -std=c++20 -Isrc -x c++ -MM "${file}")"
+    if [[ "${deps}" == *src/sim/* ]]; then
+      echo "layering: ${file} depends on a file under src/sim/" >&2
+      layering_violations=$((layering_violations + 1))
+    fi
+  done < <(find src/net src/replication src/openflow src/core \( -name '*.h' -o -name '*.cc' \) | sort)
+  if (( layering_violations > 0 )); then exit 1; fi
+
   echo "== tier-1: configure + build =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "${JOBS}"
