@@ -14,8 +14,12 @@
 // The rule population is held constant across points so the sweep isolates
 // entity-count scaling from rule-count scaling. A second, smaller sweep
 // varies the rule count instead:
-//   * policy publication - one revoke plus one insert in the largest
-//                          priority bucket, then PolicyManager::
+//   * policy query       - PolicySnapshot::query() throughput on enriched
+//                          flows that each match a rule, spread over every
+//                          rule shape: what a decision-cache miss pays the
+//                          tuple-space classifier (DESIGN.md §3);
+//   * policy publication - one revoke plus one insert at the priority
+//                          holding half the rules, then PolicyManager::
 //                          snapshot_view(): what a PDP write costs before
 //                          the next decision can run (the copy-on-write
 //                          policy index, DESIGN.md §8).
@@ -27,11 +31,13 @@
 //     (publication is O(changed), not O(total));
 //   * policy publications/s at the largest rule count >= a quarter of the
 //     smallest (a rebuild per publication grows linearly instead);
+//   * policy queries/s at the largest rule count >= half the next smaller
+//     point's (a query that scans a list growing with the rules fails it);
 // plus committed per-point floors via --check-baseline.
 //
 // Usage:
 //   bench_erm_scale                          full sweep (to 1M entities,
-//                                            1k and 100k rules)
+//                                            1k, 10k and 100k rules)
 //   bench_erm_scale --smoke                  CI-bounded sweep (to 50k
 //                                            entities, 1k and 10k rules)
 //   bench_erm_scale --check-baseline <json>  also gate against floors
@@ -45,6 +51,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -118,8 +125,8 @@ ScalePoint run_point(std::uint32_t hosts, std::uint32_t rules, bool smoke) {
           : static_cast<double>(rss_after - rss_before) / point.bindings;
 
   // Constant rule population across points. Highest priority first: the
-  // insert-time overlap sweep looks only at strictly-lower buckets, which
-  // are still empty in this order, so load time measures indexing, not the
+  // insert-time overlap sweep looks only at strictly-lower rules, of which
+  // there are none in this order, so load time measures indexing, not the
   // (separately benched) consistency sweep.
   const std::vector<PolicyRule> rule_pop = gen.make_rules(rules);
   constexpr std::uint32_t kPriorityLevels = 8;
@@ -132,25 +139,24 @@ ScalePoint run_point(std::uint32_t hosts, std::uint32_t rules, bool smoke) {
   // ------------------------------------------------- decision latency
   // Pre-built Packet-in population; cache off, so every decision runs
   // spoof validation + enrichment + the policy query. Flow i is built to
-  // match a top-priority-bucket rule j (its endpoint is the rule's target
-  // host, or its port for the port-only wildcard rules), so every flow's
-  // bucket walk terminates at the first bucket at every population size
-  // and the sweep isolates entity-count scaling. Random flows would
-  // instead give the small point ~rules/hosts (incidental, early-exiting)
-  // matches per flow and the large point almost none — comparing a
-  // hit-heavy workload against one that walks every bucket's posting
-  // lists, a rule-density artifact, not an entity-plane cost.
+  // match a top-priority rule j (its endpoint is the rule's target host, or
+  // its port for the port-only rules), so every flow's query does the same
+  // work at every population size and the sweep isolates entity-count
+  // scaling. Random flows would instead give the small point ~rules/hosts
+  // (incidental) matches per flow and the large point almost none —
+  // comparing a hit-heavy workload against a miss-heavy one, a rule-density
+  // artifact, not an entity-plane cost.
   const std::vector<std::uint32_t> targets = gen.rule_targets(rules);
   constexpr std::size_t kTuples = 512;
   std::vector<DecisionInput> inputs;
   inputs.reserve(kTuples);
-  const std::uint32_t top_bucket = rules / kPriorityLevels;  // level-8 rules
+  const std::uint32_t top_level = rules / kPriorityLevels;  // level-8 rules
   for (std::size_t i = 0; i < kTuples; ++i) {
-    const std::uint32_t j = static_cast<std::uint32_t>((i * 16001u) % top_bucket);
+    const std::uint32_t j = static_cast<std::uint32_t>((i * 16001u) % top_level);
     const std::uint32_t t = targets[j];
     const std::uint32_t other = targets[(j + 1) % rules];
     const std::uint32_t kind = j % 8;
-    // Kinds 1/4/6 pivot on the destination endpoint; 7 is port-only.
+    // Kinds 1/4/6 name the destination endpoint; 7 only its port.
     const bool target_is_dst = kind == 1 || kind == 4 || kind == 6;
     const std::uint32_t src = target_is_dst ? other : t;
     const std::uint32_t dst = target_is_dst ? t : other;
@@ -219,22 +225,57 @@ ScalePoint run_point(std::uint32_t hosts, std::uint32_t rules, bool smoke) {
 struct PolicyPoint {
   std::string name;
   std::uint32_t rules = 0;
+  double query_per_sec = 0;
   double publish_per_sec = 0;
   double clones_per_publish = 0;  // copy-on-write nodes per revoke+insert
+  // The loaded rules, frozen before the publication loop, and flows that
+  // each match one of them: what time_queries times.
+  std::shared_ptr<const PolicySnapshot> snapshot;
+  std::vector<FlowView> flows;
 };
+
+// The enriched flow the ERM hands the policy query for a Packet-in built
+// to match rule j of make_rules (as run_point builds its Packet-ins): the
+// rule's target host is the endpoint the rule names, or the flow carries
+// the rule's port for the port-only rules.
+FlowView rule_flow(const ScaleGenerator& gen, const std::vector<std::uint32_t>& targets,
+                   std::uint32_t j) {
+  const std::uint32_t t = targets[j];
+  const std::uint32_t other = targets[(j + 1) % targets.size()];
+  const std::uint32_t kind = j % 8;
+  const bool target_is_dst = kind == 1 || kind == 4 || kind == 6;
+  const std::uint32_t src = target_is_dst ? other : t;
+  const std::uint32_t dst = target_is_dst ? t : other;
+  const auto endpoint = [&gen](std::uint32_t host, EndpointView& view) {
+    view.mac = gen.mac_of(host);
+    view.ip = gen.ip_of(host);
+    view.switch_port = gen.port_of(host);
+    view.hostnames = {Hostname{gen.host_name(host)}};
+    view.usernames = {Username{gen.user_name(host)}};
+  };
+  FlowView flow;
+  flow.ether_type = 0x0800;
+  flow.ip_proto = 6;
+  endpoint(src, flow.src);
+  endpoint(dst, flow.dst);
+  flow.src.dpid = gen.switch_of(src);
+  flow.src.l4_port = static_cast<std::uint16_t>(40000 + j % 1024);
+  flow.dst.l4_port = kind == 7 ? static_cast<std::uint16_t>(1024 + j % 40000) : 445;
+  return flow;
+}
 
 PolicyPoint run_policy_point(std::uint32_t rules, bool smoke) {
   ScaleConfig config;
-  config.hosts = rules;  // distinct pivot values, like an enterprise policy
+  config.hosts = rules;  // distinct rule values, like an enterprise policy
   ScaleGenerator gen(config);
   MessageBus bus;
   PolicyManager manager(bus);
 
-  // Half the rules sit in the lowest priority bucket, the PDP whose writes
-  // are timed; the rest spread over seven levels above it. Loaded highest
+  // Half the rules sit at the lowest priority, the PDP whose writes are
+  // timed; the rest spread over seven levels above it. Loaded highest
   // level first, so each insert's consistency sweep finds nothing below
   // (as in run_point), and the timed writes at the lowest level have no
-  // lower bucket to sweep either: the loop times the write and the
+  // lower rule to sweep either: the loop times the write and the
   // publication, not the (separately benched) sweep.
   const std::vector<PolicyRule> pop = gen.make_rules(rules);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> order;  // (level, rule)
@@ -243,13 +284,22 @@ PolicyPoint run_policy_point(std::uint32_t rules, bool smoke) {
   }
   std::stable_sort(order.begin(), order.end(),
                    [](const auto& a, const auto& b) { return a.first > b.first; });
-  // Victims name an endpoint: port-only rules (every eighth) live on the
-  // bucket's wildcard list, which a write copies whole.
   std::vector<std::pair<PolicyRuleId, std::uint32_t>> victims;
   for (const auto& [level, i] : order) {
     const PolicyRuleId id = manager.insert(pop[i], PdpPriority{level}, "scale-bench");
-    if (level == 1 && i % 8 != 7) victims.emplace_back(id, i);
+    if (level == 1) victims.emplace_back(id, i);
   }
+
+  PolicyPoint point;
+  point.name = "r" + std::to_string(rules);
+  point.rules = rules;
+  // Query probes: flows matching rules at every priority, of every shape.
+  const std::vector<std::uint32_t> targets = gen.rule_targets(rules);
+  for (std::uint32_t f = 0; f < 512; ++f) {
+    point.flows.push_back(rule_flow(
+        gen, targets, static_cast<std::uint32_t>((std::uint64_t{f} * 16001u) % rules)));
+  }
+  point.snapshot = manager.snapshot_view();
 
   // The previous snapshot stays held, as a PCP holds it until its next
   // decision, so every write path-copies against a live publication.
@@ -263,23 +313,49 @@ PolicyPoint run_policy_point(std::uint32_t rules, bool smoke) {
     id = manager.insert(pop[i], PdpPriority{1}, "scale-bench");
     held = manager.snapshot_view();
   }
-  PolicyPoint point;
-  point.name = "r" + std::to_string(rules);
-  point.rules = rules;
   point.publish_per_sec = static_cast<double>(writes) / seconds_since(start);
   const CowTableStats after = manager.cow_stats();
   point.clones_per_publish =
       static_cast<double>(after.page_copies - before.page_copies +
                           after.root_copies - before.root_copies) /
       static_cast<double>(writes);
-  std::printf("%-8s %9u rules  %8.0f revoke+insert+publish/s  %5.1f nodes cloned each\n",
-              point.name.c_str(), rules, point.publish_per_sec, point.clones_per_publish);
   return point;
+}
+
+// PolicySnapshot::query() throughput per point: the best of several
+// rounds, with the points' rounds interleaved, so a drift in the host's
+// speed slows every point alike instead of whichever point it falls on.
+// Every probe flow must match a rule.
+void time_queries(std::vector<PolicyPoint>& points, bool smoke) {
+  constexpr int kRounds = 7;
+  const std::size_t per_round = smoke ? 20000 : 50000;
+  for (int round = 0; round < kRounds; ++round) {
+    for (PolicyPoint& p : points) {
+      std::size_t unmatched = 0;
+      const Clock::time_point start = Clock::now();
+      for (std::size_t q = 0; q < per_round; ++q) {
+        unmatched += p.snapshot->query(p.flows[q % p.flows.size()]).default_deny ? 1 : 0;
+      }
+      const double rate = static_cast<double>(per_round) / seconds_since(start);
+      if (unmatched != 0) {
+        std::fprintf(stderr, "FAIL: %s: %zu of %zu probe flows matched no rule\n",
+                     p.name.c_str(), unmatched, per_round);
+        std::abort();
+      }
+      p.query_per_sec = std::max(p.query_per_sec, rate);
+    }
+  }
+  for (const PolicyPoint& p : points) {
+    std::printf("%-8s %9u rules  %9.0f queries/s  %8.0f revoke+insert+publish/s  "
+                "%5.1f nodes cloned each\n",
+                p.name.c_str(), p.rules, p.query_per_sec, p.publish_per_sec,
+                p.clones_per_publish);
+  }
 }
 
 void write_json(const char* path, const std::vector<ScalePoint>& points,
                 const std::vector<PolicyPoint>& policy_points, double decision_ratio,
-                double publish_ratio, double policy_ratio) {
+                double publish_ratio, double policy_ratio, double query_ratio) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"erm_scale\",\n  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -297,13 +373,15 @@ void write_json(const char* path, const std::vector<ScalePoint>& points,
   for (std::size_t i = 0; i < policy_points.size(); ++i) {
     const PolicyPoint& p = policy_points[i];
     out << "    {\"point\": \"" << p.name << "\", \"rules\": " << p.rules
+        << ", \"policy_query_per_sec\": " << p.query_per_sec
         << ", \"policy_publish_per_sec\": " << p.publish_per_sec
         << ", \"clones_per_publish\": " << p.clones_per_publish << "}"
         << (i + 1 < policy_points.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"gates\": {\"decision_ratio\": " << decision_ratio
       << ", \"publish_ratio\": " << publish_ratio
-      << ", \"policy_publish_ratio\": " << policy_ratio << "}\n}\n";
+      << ", \"policy_publish_ratio\": " << policy_ratio
+      << ", \"policy_query_ratio\": " << query_ratio << "}\n}\n";
 }
 
 // Minimal scan: the numeric value of `key` inside the baseline object whose
@@ -367,20 +445,30 @@ int check_baseline(const char* path, const std::vector<ScalePoint>& points,
     }
   }
   for (const PolicyPoint& p : policy_points) {
-    double floor = 0;
-    if (!baseline_value(json, p.name, "policy_publish_per_sec_floor", &floor)) {
+    double publish_floor = 0, query_floor = 0;
+    if (!baseline_value(json, p.name, "policy_publish_per_sec_floor", &publish_floor) ||
+        !baseline_value(json, p.name, "policy_query_per_sec_floor", &query_floor)) {
       std::fprintf(stderr, "FAIL: baseline %s lacks point \"%s\"\n", path,
                    p.name.c_str());
       ++failures;
       continue;
     }
-    if (p.publish_per_sec < 0.9 * floor) {
+    bool ok = true;
+    if (p.query_per_sec < 0.9 * query_floor) {
+      std::fprintf(stderr, "FAIL: %s %.0f policy queries/s under floor %.0f\n",
+                   p.name.c_str(), p.query_per_sec, query_floor);
+      ok = false;
+    }
+    if (p.publish_per_sec < 0.9 * publish_floor) {
       std::fprintf(stderr, "FAIL: %s %.0f policy publishes/s under floor %.0f\n",
-                   p.name.c_str(), p.publish_per_sec, floor);
-      ++failures;
+                   p.name.c_str(), p.publish_per_sec, publish_floor);
+      ok = false;
+    }
+    if (ok) {
+      std::printf("baseline ok: %-8s %9.0f policy queries/s  %9.0f policy publishes/s\n",
+                  p.name.c_str(), p.query_per_sec, p.publish_per_sec);
     } else {
-      std::printf("baseline ok: %-8s %9.0f policy publishes/s\n", p.name.c_str(),
-                  p.publish_per_sec);
+      ++failures;
     }
   }
   return failures == 0 ? 0 : 1;
@@ -403,9 +491,13 @@ int run(bool smoke, const char* baseline_path) {
   for (const std::uint32_t h : hosts) points.push_back(run_point(h, rules, smoke));
 
   std::vector<PolicyPoint> policy_points;
-  for (const std::uint32_t n : {1000u, smoke ? 10000u : 100000u}) {
+  const std::vector<std::uint32_t> rule_counts =
+      smoke ? std::vector<std::uint32_t>{1000, 10000}
+            : std::vector<std::uint32_t>{1000, 10000, 100000};
+  for (const std::uint32_t n : rule_counts) {
     policy_points.push_back(run_policy_point(n, smoke));
   }
+  time_queries(policy_points, smoke);
 
   const ScalePoint& small = points.front();
   const ScalePoint& large = points.back();
@@ -417,8 +509,14 @@ int run(bool smoke, const char* baseline_path) {
       policy_points.back().publish_per_sec > 0
           ? policy_points.front().publish_per_sec / policy_points.back().publish_per_sec
           : 1e9;
+  // The query gate compares the two largest rule counts (10x apart).
+  const PolicyPoint& query_small = policy_points[policy_points.size() - 2];
+  const PolicyPoint& query_large = policy_points.back();
+  const double query_ratio = query_large.query_per_sec > 0
+                                 ? query_small.query_per_sec / query_large.query_per_sec
+                                 : 1e9;
   write_json("BENCH_erm_scale.json", points, policy_points, decision_ratio, publish_ratio,
-             policy_ratio);
+             policy_ratio, query_ratio);
 
   int failures = 0;
   if (points.size() > 1) {
@@ -451,6 +549,16 @@ int run(bool smoke, const char* baseline_path) {
     ++failures;
   } else {
     std::printf("gates ok: policy publication ratio %.2fx (<=4x)\n", policy_ratio);
+  }
+  // The policy query costs one probe per rule shape: ten times the rules
+  // may slow it by cache effects, not by the rule count.
+  if (query_ratio > 2.0) {
+    std::fprintf(stderr, "FAIL: policy query degraded %.2fx from %s to %s (gate: 2x)\n",
+                 query_ratio, query_small.name.c_str(), query_large.name.c_str());
+    ++failures;
+  } else {
+    std::printf("gates ok: policy query ratio %.2fx (<=2x) from %s to %s\n", query_ratio,
+                query_small.name.c_str(), query_large.name.c_str());
   }
   if (baseline_path != nullptr) {
     failures += check_baseline(baseline_path, points, policy_points);

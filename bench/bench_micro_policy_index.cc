@@ -1,5 +1,6 @@
-// Policy-engine micro-benchmark: linear scan vs posting-list index, and the
-// PCP decision-cache hit rate under a Fig. 4-style repeated-flow workload.
+// Policy-engine micro-benchmark: linear scan vs the tuple-space classifier,
+// and the PCP decision-cache hit rate under a Fig. 4-style repeated-flow
+// workload.
 //
 // Two outputs:
 //   * google-benchmark timings (BM_*) for interactive use;
@@ -22,9 +23,10 @@
 namespace dfi {
 namespace {
 
-// Identifier pools scale with the rule count so posting lists stay shallow
+// Identifier pools scale with the rule count so each value names few rules
 // (an enterprise policy names many distinct endpoints, not one): the index
-// win comes from pruning, not from a degenerate single-bucket layout.
+// win comes from pruning, not from a degenerate layout where every rule
+// shares one key.
 struct Pools {
   std::vector<Ipv4Address> ips;
   std::vector<Username> users;
@@ -52,7 +54,7 @@ void fill_rules(PolicyManager& manager, std::size_t count, const Pools& pools,
     PolicyRule rule;
     rule.action = (i % 3 == 0) ? PolicyAction::kDeny : PolicyAction::kAllow;
     if (i % 20 == 0) {
-      rule.destination.l4_port = 445;  // wildcard-list rule (no pivot field)
+      rule.destination.l4_port = 445;  // port-only rule (no address or name)
     } else if (i % 2 == 0) {
       rule.source.ip = pools.ips[pick_ip(rng)];
       if (i % 4 == 0) rule.destination.l4_port = 80;

@@ -41,6 +41,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/hash.h"
+
 namespace dfi {
 
 // Dense identifier of one interned entity within one namespace.
@@ -61,19 +63,6 @@ inline constexpr std::uint32_t kChunkShift = 12;  // 4096 entries per chunk
 inline constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 inline constexpr std::uint32_t kChunkMask = kChunkSize - 1;
 inline constexpr std::uint32_t kMaxChunks = 1u << 12;  // 16M ids per namespace
-
-inline std::uint64_t hash_bytes(const char* data, std::size_t len) {
-  // FNV-1a 64, finalized with a xor-shift so low bits carry entropy for
-  // power-of-two table masks.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001b3ull;
-  }
-  h ^= h >> 29;
-  h *= 0xbf58476d1ce4e5b9ull;
-  return h ^ (h >> 32);
-}
 
 inline std::uint64_t hash_u64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -145,7 +134,7 @@ class StringInterner {
 
   // Writer only: id of `s`, interning it on first sight.
   EntityId intern(std::string_view s) {
-    const std::uint64_t hash = intern_detail::hash_bytes(s.data(), s.size());
+    const std::uint64_t hash = hash_bytes(s.data(), s.size());
     if (const EntityId found = find_in(*table_, s, hash); found.valid()) return found;
     if ((size_ + 1) * 10 > (std::uint64_t{table_->mask} + 1) * 7) grow();
     const EntityId id{size_};
@@ -159,7 +148,7 @@ class StringInterner {
 
   // Writer thread (probes the current table).
   EntityId find(std::string_view s) const {
-    return find_in(*table_, s, intern_detail::hash_bytes(s.data(), s.size()));
+    return find_in(*table_, s, hash_bytes(s.data(), s.size()));
   }
 
   // Any thread, for any id obtained from a published structure.
@@ -180,7 +169,7 @@ class StringInterner {
     EntityId find(std::string_view s) const {
       if (owner_ == nullptr) return EntityId{};
       return owner_->find_in(*table_, s,
-                             intern_detail::hash_bytes(s.data(), s.size()));
+                             hash_bytes(s.data(), s.size()));
     }
 
    private:
@@ -231,7 +220,7 @@ class StringInterner {
     for (std::uint32_t id = 0; id < size_; ++id) {
       const std::string_view s = view(EntityId{id});
       publish(*grown, EntityId{id},
-              intern_detail::hash_bytes(s.data(), s.size()));
+              hash_bytes(s.data(), s.size()));
     }
     // Readers holding the old table keep using it unharmed; new entries
     // from here on land only in the grown table.

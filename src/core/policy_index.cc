@@ -3,8 +3,12 @@
 #include <sanitizer/asan_interface.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <mutex>
+
+#include "common/hash.h"
 
 namespace dfi {
 
@@ -79,94 +83,229 @@ struct RuleAllocator {
   std::shared_ptr<policy_detail::RuleSlab> slab;
 };
 
-// Pack a concrete spec value to its posting-map key.
-std::uint64_t key_of(Ipv4Address ip) { return ip.value(); }
-std::uint64_t key_of(MacAddress mac) { return mac.to_u64(); }
-std::uint64_t key_of(Dpid dpid) { return dpid.value; }
+// The fields a rule can name, one mask bit each. The enriched names come
+// first: they are the multi-valued fields of a flow.
+enum Field : unsigned {
+  kSrcUser, kSrcHost, kDstUser, kDstHost,
+  kEtherType, kIpProto,
+  kSrcIp, kSrcPort, kSrcMac, kSrcSwitchPort, kSrcDpid,
+  kDstIp, kDstPort, kDstMac, kDstSwitchPort, kDstDpid,
+  kFieldCount
+};
+constexpr unsigned kNameFields = 4;
+constexpr std::uint32_t kNameMask = (1u << kNameFields) - 1;
+using FieldValues = std::array<std::uint64_t, kFieldCount>;
+
+constexpr std::uint32_t bit(unsigned field) { return 1u << field; }
+
+// set(field, value) for every single-valued endpoint field `side` (an
+// EndpointSpec or EndpointView, which name them alike) has; `ip` is the
+// side's first such field.
+template <typename Side, typename Set>
+void for_each_value(const Side& side, unsigned ip, Set&& set) {
+  if (side.ip) set(ip, side.ip->value());
+  if (side.l4_port) set(ip + 1, *side.l4_port);
+  if (side.mac) set(ip + 2, side.mac->to_u64());
+  if (side.switch_port) set(ip + 3, side.switch_port->value);
+  if (side.dpid) set(ip + 4, side.dpid->value);
+}
+
+// A user or host name's value: a hash of its bytes.
+std::uint64_t name_value(const std::string& name) {
+  return hash_bytes(name.data(), name.size());
+}
+
+// `rule`'s concrete values into `values`; returns the mask of the fields it
+// names.
+std::uint32_t values_of(const PolicyRule& rule, FieldValues& values) {
+  std::uint32_t mask = 0;
+  const auto set = [&](unsigned field, std::uint64_t value) {
+    mask |= bit(field);
+    values[field] = value;
+  };
+  if (rule.source.user) set(kSrcUser, name_value(rule.source.user->value));
+  if (rule.source.host) set(kSrcHost, name_value(rule.source.host->value));
+  if (rule.destination.user) set(kDstUser, name_value(rule.destination.user->value));
+  if (rule.destination.host) set(kDstHost, name_value(rule.destination.host->value));
+  if (rule.properties.ether_type) set(kEtherType, *rule.properties.ether_type);
+  if (rule.properties.ip_proto) set(kIpProto, *rule.properties.ip_proto);
+  for_each_value(rule.source, kSrcIp, set);
+  for_each_value(rule.destination, kDstIp, set);
+  return mask;
+}
+
+// A subtable's key for `values`: a hash of the values `mask` names.
+std::uint64_t masked_key(std::uint32_t mask, const FieldValues& values) {
+  std::uint64_t key = mask;
+  for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+    key = hash_combine(key, values[static_cast<unsigned>(std::countr_zero(m))]);
+  }
+  return key;
+}
+
+// True if `a` wins over `b`: higher priority, then Deny over Allow, then
+// the lower id — the order in which query_linear keeps its first choice.
+bool outranks(const StoredPolicyRule& a, const StoredPolicyRule& b) {
+  if (a.priority != b.priority) return a.priority > b.priority;
+  if (a.rule.action != b.rule.action) return a.rule.action == PolicyAction::kDeny;
+  return a.id < b.id;
+}
+
+// A rule's mask and its key in that mask's subtable.
+struct RuleKey {
+  std::uint32_t mask = 0;
+  std::uint64_t key = 0;
+};
+RuleKey key_of(const PolicyRule& rule) {
+  FieldValues values{};
+  const std::uint32_t mask = values_of(rule, values);
+  return {mask, masked_key(mask, values)};
+}
+
+// How many names `flow` binds for name field `field`, and the i-th.
+std::size_t bound_count(const FlowView& flow, unsigned field) {
+  switch (field) {
+    case kSrcUser: return flow.src.usernames.size();
+    case kSrcHost: return flow.src.hostnames.size();
+    case kDstUser: return flow.dst.usernames.size();
+    default: return flow.dst.hostnames.size();
+  }
+}
+const std::string& bound_name(const FlowView& flow, unsigned field, std::size_t i) {
+  switch (field) {
+    case kSrcUser: return flow.src.usernames[i].value;
+    case kSrcHost: return flow.src.hostnames[i].value;
+    case kDstUser: return flow.dst.usernames[i].value;
+    default: return flow.dst.hostnames[i].value;
+  }
+}
+
+// `flow`'s single-valued fields into `values`; returns the mask of the
+// fields it has a value for, counting a name field when it binds a name.
+std::uint32_t flow_values(const FlowView& flow, FieldValues& values) {
+  std::uint32_t present = 0;
+  const auto set = [&](unsigned field, std::uint64_t value) {
+    present |= bit(field);
+    values[field] = value;
+  };
+  for (unsigned field = 0; field < kNameFields; ++field) {
+    if (bound_count(flow, field) != 0) present |= bit(field);
+  }
+  set(kEtherType, flow.ether_type);
+  if (flow.ip_proto) set(kIpProto, *flow.ip_proto);
+  for_each_value(flow.src, kSrcIp, set);
+  for_each_value(flow.dst, kDstIp, set);
+  return present;
+}
 
 }  // namespace
 
 PolicyRuleIndex::PolicyRuleIndex()
     : slab_(std::make_shared<policy_detail::RuleSlab>()),
-      root_(std::make_shared<Root>()),
-      names_(std::make_shared<Names>()),
-      users_(names_->users.reader()),
-      hosts_(names_->hosts.reader()) {}
+      root_(std::make_shared<Root>()) {}
 
-std::uint64_t PolicyRuleIndex::intern_name(StringInterner& names,
-                                           StringInterner::Reader& reader,
-                                           const std::string& name) {
-  const EntityId id = names.intern(name);
-  reader = names.reader();  // the table may have grown
-  return id.value;
+void PolicyRuleIndex::Entry::insert(const StoredPolicyRule* rule) {
+  if (first == nullptr) {
+    first = rule;
+    return;
+  }
+  if (outranks(*rule, *first)) std::swap(rule, first);
+  const auto at = std::find_if(rest.begin(), rest.end(), [rule](const auto* other) {
+    return outranks(*rule, *other);
+  });
+  rest.insert(at, rule);
 }
 
-PolicyRuleIndex::Pivot PolicyRuleIndex::pivot_of(const PolicyRule& rule) {
-  const EndpointSpec& src = rule.source;
-  const EndpointSpec& dst = rule.destination;
-  if (src.ip) return {&Bucket::src_ip, key_of(*src.ip)};
-  if (dst.ip) return {&Bucket::dst_ip, key_of(*dst.ip)};
-  if (src.mac) return {&Bucket::src_mac, key_of(*src.mac)};
-  if (dst.mac) return {&Bucket::dst_mac, key_of(*dst.mac)};
-  if (src.user) return {&Bucket::src_user, intern_name(names_->users, users_, src.user->value)};
-  if (dst.user) return {&Bucket::dst_user, intern_name(names_->users, users_, dst.user->value)};
-  if (src.host) return {&Bucket::src_host, intern_name(names_->hosts, hosts_, src.host->value)};
-  if (dst.host) return {&Bucket::dst_host, intern_name(names_->hosts, hosts_, dst.host->value)};
-  if (src.dpid) return {&Bucket::src_dpid, key_of(*src.dpid)};
-  if (dst.dpid) return {&Bucket::dst_dpid, key_of(*dst.dpid)};
-  return {};
+void PolicyRuleIndex::Entry::erase(const StoredPolicyRule* rule) {
+  if (rule != first) {
+    rest.erase(std::find(rest.begin(), rest.end(), rule));
+  } else if (rest.empty()) {
+    first = nullptr;
+  } else {
+    first = rest.front();
+    rest.erase(rest.begin());
+  }
 }
+
+namespace {
+
+// Count one rule more (`add`) or less at `priority` in a subtable's
+// descending (priority, rules) list; true when a priority appeared or
+// vanished.
+bool count_rule(std::vector<std::pair<std::uint32_t, std::uint32_t>>& counts,
+                std::uint32_t priority, bool add) {
+  const auto at = std::partition_point(counts.begin(), counts.end(),
+                                       [&](const auto& c) { return c.first > priority; });
+  if (add && (at == counts.end() || at->first != priority)) {
+    counts.insert(at, {priority, 1});
+    return true;
+  }
+  if (add) {
+    ++at->second;
+    return false;
+  }
+  if (--at->second != 0) return false;
+  counts.erase(at);
+  return true;
+}
+
+// Restore Root::subtables' order after one subtable's priorities changed.
+template <typename Subtables>
+void sort_subtables(Subtables& subtables) {
+  std::sort(subtables.begin(), subtables.end(), [](const auto& a, const auto& b) {
+    if (a->max_priority() != b->max_priority()) {
+      return a->max_priority() > b->max_priority();
+    }
+    return a->mask < b->mask;
+  });
+}
+
+}  // namespace
 
 void PolicyRuleIndex::insert(StoredPolicyRule stored) {
   std::shared_ptr<const StoredPolicyRule> rule = std::allocate_shared<StoredPolicyRule>(
       RuleAllocator<StoredPolicyRule>(slab_), std::move(stored));
-  const Pivot pivot = pivot_of(rule->rule);
+  const RuleKey key = key_of(rule->rule);
   const StoredPolicyRule* raw = rule.get();
   Root& root = cow_write(root_, generation_, cow_stats_.root_copies);
   root.rules.insert(raw->id.value, std::move(rule), generation_, cow_stats_);
 
-  const std::uint32_t priority = raw->priority.value;
-  auto it = std::partition_point(root.buckets.begin(), root.buckets.end(),
-                                 [&](const auto& b) { return b.first > priority; });
-  if (it == root.buckets.end() || it->first != priority) {
-    it = root.buckets.insert(it, {priority, nullptr});
+  auto it = std::find_if(root.subtables.begin(), root.subtables.end(),
+                         [&](const auto& table) { return table->mask == key.mask; });
+  if (it == root.subtables.end()) it = root.subtables.insert(it, nullptr);
+  Subtable& table = cow_write(*it, generation_, cow_stats_.page_copies);
+  table.mask = key.mask;
+  Entry& entry = table.entries.mutate(key.key, generation_, cow_stats_);
+  if (entry.empty()) ++table.keys;
+  entry.insert(raw);
+  if (count_rule(table.priorities, raw->priority.value, /*add=*/true)) {
+    sort_subtables(root.subtables);
   }
-  Bucket& bucket = cow_write(it->second, generation_, cow_stats_.page_copies);
-  writable_list(bucket, pivot).push_back(raw);
-  ++bucket.size;
-}
-
-PolicyRuleIndex::RuleList& PolicyRuleIndex::writable_list(Bucket& bucket,
-                                                          const Pivot& pivot) {
-  if (pivot.map == nullptr) {
-    return cow_write(bucket.wildcard, generation_, cow_stats_.page_copies).rules;
-  }
-  return (bucket.*pivot.map).mutate(pivot.key, generation_, cow_stats_);
 }
 
 bool PolicyRuleIndex::remove(PolicyRuleId id) {
   const auto* found = root_->rules.find(id.value);
   if (found == nullptr) return false;
   const std::shared_ptr<const StoredPolicyRule> rule = *found;  // alive until done
-  const Pivot pivot = pivot_of(rule->rule);
+  const RuleKey key = key_of(rule->rule);
   Root& root = cow_write(root_, generation_, cow_stats_.root_copies);
 
-  const std::uint32_t priority = rule->priority.value;
-  const auto it = std::partition_point(root.buckets.begin(), root.buckets.end(),
-                                       [&](const auto& b) { return b.first > priority; });
-  if (it->second->size == 1) {
-    root.buckets.erase(it);  // the bucket's last rule: drop it whole
+  const auto it =
+      std::find_if(root.subtables.begin(), root.subtables.end(),
+                   [&](const auto& table) { return table->mask == key.mask; });
+  const auto& held = (*it)->priorities;
+  if (held.size() == 1 && held.front().second == 1) {
+    root.subtables.erase(it);  // the subtable's last rule: drop it whole
   } else {
-    Bucket& bucket = cow_write(it->second, generation_, cow_stats_.page_copies);
-    --bucket.size;
-    RuleList& list = writable_list(bucket, pivot);
-    list.erase(rule.get());
-    if (list.empty()) {
-      if (pivot.map == nullptr) {
-        bucket.wildcard.reset();
-      } else {
-        (bucket.*pivot.map).erase(pivot.key, generation_, cow_stats_);
-      }
+    Subtable& table = cow_write(*it, generation_, cow_stats_.page_copies);
+    Entry& entry = table.entries.mutate(key.key, generation_, cow_stats_);
+    entry.erase(rule.get());
+    if (entry.empty()) {
+      table.entries.erase(key.key, generation_, cow_stats_);
+      --table.keys;
+    }
+    if (count_rule(table.priorities, rule->priority.value, /*add=*/false)) {
+      sort_subtables(root.subtables);
     }
   }
   root.rules.erase(id.value, generation_, cow_stats_);
@@ -185,106 +324,82 @@ const StoredPolicyRule* PolicyRuleIndex::find(PolicyRuleId id) const {
 
 const StoredPolicyRule* PolicyRuleIndex::best_match(const FlowView& flow,
                                                     PolicyIndexStats* stats) const {
-  // Resolve the flow's user/host names to index-local ids once, outside the
-  // bucket walk. A name no rule ever pivoted on has no id — drop it here
-  // rather than hashing the string once per bucket.
-  std::vector<std::uint32_t> src_users, dst_users, src_hosts, dst_hosts;
-  const auto resolve = [](const StringInterner::Reader& names, const auto& observed,
-                          std::vector<std::uint32_t>& out) {
-    for (const auto& name : observed) {
-      const EntityId id = names.find(name.value);
-      if (id.valid()) out.push_back(id.value);
-    }
-  };
-  resolve(users_, flow.src.usernames, src_users);
-  resolve(users_, flow.dst.usernames, dst_users);
-  resolve(hosts_, flow.src.hostnames, src_hosts);
-  resolve(hosts_, flow.dst.hostnames, dst_hosts);
+  FieldValues values{};
+  const std::uint32_t present = flow_values(flow, values);
 
-  for (const auto& [priority, bucket_ptr] : root_->buckets) {
-    const Bucket& bucket = *bucket_ptr;
-    if (stats != nullptr) ++stats->buckets_visited;
-    const StoredPolicyRule* best = nullptr;
-    const auto consider = [&](const StoredPolicyRule* stored) {
+  const StoredPolicyRule* best = nullptr;
+  // Test an entry's rules in rank order until one matches or none left can
+  // outrank the best match so far.
+  const auto consider = [&](const Entry& entry) {
+    entry.for_each([&](const StoredPolicyRule* stored) {
+      if (best != nullptr && !outranks(*stored, *best)) return false;
       if (stats != nullptr) ++stats->match_candidates;
-      if (!stored->rule.matches(flow)) return;
-      if (best == nullptr) {
-        best = stored;
-      } else if (best->rule.action == PolicyAction::kAllow &&
-                 stored->rule.action == PolicyAction::kDeny) {
-        best = stored;  // equal-priority conflict: Deny wins
+      if (!stored->rule.matches(flow)) return true;
+      best = stored;
+      return false;
+    });
+  };
+  for (const auto& table_ptr : root_->subtables) {
+    const Subtable& table = *table_ptr;
+    if (best != nullptr && table.max_priority() < best->priority.value) break;
+    if ((table.mask & ~present) != 0) continue;
+    if (stats != nullptr) ++stats->subtables_probed;
+
+    // One probe per combination of the flow's bound names the mask holds —
+    // unless there are more combinations than entries.
+    std::array<unsigned, kNameFields> name_fields{};
+    unsigned n = 0;
+    std::size_t combinations = 1;
+    for (std::uint32_t m = table.mask & kNameMask; m != 0; m &= m - 1) {
+      name_fields[n] = static_cast<unsigned>(std::countr_zero(m));
+      combinations *= bound_count(flow, name_fields[n++]);
+    }
+    if (combinations > table.keys) {
+      table.entries.for_each(consider);
+      continue;
+    }
+    std::array<std::size_t, kNameFields> at{};
+    for (;;) {
+      for (unsigned i = 0; i < n; ++i) {
+        values[name_fields[i]] = name_value(bound_name(flow, name_fields[i], at[i]));
       }
-    };
-    const auto probe = [&](const PostingMap& map, std::uint64_t key) {
-      if (const RuleList* list = map.find(key)) list->for_each(consider);
-    };
-    if (flow.src.ip) probe(bucket.src_ip, key_of(*flow.src.ip));
-    if (flow.dst.ip) probe(bucket.dst_ip, key_of(*flow.dst.ip));
-    if (flow.src.mac) probe(bucket.src_mac, key_of(*flow.src.mac));
-    if (flow.dst.mac) probe(bucket.dst_mac, key_of(*flow.dst.mac));
-    for (const std::uint32_t id : src_users) probe(bucket.src_user, id);
-    for (const std::uint32_t id : dst_users) probe(bucket.dst_user, id);
-    for (const std::uint32_t id : src_hosts) probe(bucket.src_host, id);
-    for (const std::uint32_t id : dst_hosts) probe(bucket.dst_host, id);
-    if (flow.src.dpid) probe(bucket.src_dpid, key_of(*flow.src.dpid));
-    if (flow.dst.dpid) probe(bucket.dst_dpid, key_of(*flow.dst.dpid));
-    if (bucket.wildcard != nullptr) bucket.wildcard->rules.for_each(consider);
-    if (best != nullptr) return best;  // no lower bucket can outrank this one
+      if (const Entry* entry = table.entries.find(masked_key(table.mask, values))) {
+        consider(*entry);
+      }
+      unsigned i = 0;
+      while (i < n && ++at[i] == bound_count(flow, name_fields[i])) at[i++] = 0;
+      if (i == n) break;
+    }
   }
-  return nullptr;
+  return best;
 }
 
 void PolicyRuleIndex::for_each_overlap_candidate(
     const PolicyRule& rule, PdpPriority below, PolicyIndexStats& stats,
     const std::function<void(const StoredPolicyRule&)>& fn) const {
-  const auto visit = [&](const RuleList& list) {
-    list.for_each([&](const StoredPolicyRule* stored) {
-      ++stats.overlap_candidates;
-      fn(*stored);
+  FieldValues values{};
+  const std::uint32_t named = values_of(rule, values);
+  const auto visit = [&](const Entry& entry) {
+    entry.for_each([&](const StoredPolicyRule* stored) {
+      if (stored->priority < below) {
+        ++stats.overlap_candidates;
+        fn(*stored);
+      }
+      return true;
     });
   };
-  // Overlap probing: a rule pivoted on field f with value v overlaps the
-  // new rule on f iff the new rule wildcards f or names the same v — so a
-  // concrete spec costs one probe, a wildcard spec visits the whole map.
-  // A concretely named user/host that no indexed rule ever pivoted on has
-  // no index-local id and therefore an empty candidate set for that map.
-  const auto probe = [&](const PostingMap& map, std::uint64_t key) {
-    if (const RuleList* list = map.find(key)) visit(*list);
-  };
-  const auto sweep_value = [&](const PostingMap& map, const auto& spec) {
-    if (!spec.has_value()) {
-      map.for_each(visit);
+  for (const auto& table_ptr : root_->subtables) {
+    const Subtable& table = *table_ptr;
+    if (table.min_priority() >= below.value) continue;
+    if ((table.mask & ~named) == 0) {
+      // The new rule names every field of the mask: an overlapping rule
+      // agrees with it on all of them, so it sits under the one key.
+      if (const Entry* entry = table.entries.find(masked_key(table.mask, values))) {
+        visit(*entry);
+      }
     } else {
-      probe(map, key_of(*spec));
+      table.entries.for_each(visit);
     }
-  };
-  const auto sweep_name = [&](const PostingMap& map, const auto& spec,
-                              const StringInterner::Reader& names) {
-    if (!spec.has_value()) {
-      map.for_each(visit);
-      return;
-    }
-    const EntityId id = names.find(spec->value);
-    if (id.valid()) probe(map, id.value);
-  };
-  // Buckets run in descending priority: skip to the first one strictly
-  // below the new rule's.
-  const auto& buckets = root_->buckets;
-  auto it = std::partition_point(buckets.begin(), buckets.end(),
-                                 [&](const auto& b) { return b.first >= below.value; });
-  for (; it != buckets.end(); ++it) {
-    const Bucket& bucket = *it->second;
-    sweep_value(bucket.src_ip, rule.source.ip);
-    sweep_value(bucket.dst_ip, rule.destination.ip);
-    sweep_value(bucket.src_mac, rule.source.mac);
-    sweep_value(bucket.dst_mac, rule.destination.mac);
-    sweep_name(bucket.src_user, rule.source.user, users_);
-    sweep_name(bucket.dst_user, rule.destination.user, users_);
-    sweep_name(bucket.src_host, rule.source.host, hosts_);
-    sweep_name(bucket.dst_host, rule.destination.host, hosts_);
-    sweep_value(bucket.src_dpid, rule.source.dpid);
-    sweep_value(bucket.dst_dpid, rule.destination.dpid);
-    if (bucket.wildcard != nullptr) visit(bucket.wildcard->rules);
   }
 }
 

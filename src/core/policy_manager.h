@@ -64,14 +64,15 @@ class PolicyManager {
 
   // Highest-priority rule matching the flow. PDP priority orders rules; on
   // a same-priority Allow/Deny conflict the Deny wins ("err on the side of
-  // stopping unauthorized flows"). No match -> default deny. Served from
-  // the posting-list index (core/policy_index.h); O(candidates), not O(n).
+  // stopping unauthorized flows"), and among equally ranked same-action
+  // rules the lowest id. No match -> default deny. Served from the
+  // tuple-space classifier (core/policy_index.h): one probe per rule shape,
+  // not O(n).
   PolicyDecision query(const FlowView& flow) const;
 
   // Reference implementation of query(): the original full linear scan.
   // Retained as the differential-test oracle and the scan baseline for
-  // bench_micro_policy_index; semantically identical to query() up to the
-  // choice among equally-ranked same-action rules.
+  // bench_micro_policy_index; picks exactly the rule query() picks.
   PolicyDecision query_linear(const FlowView& flow) const;
 
   std::optional<StoredPolicyRule> find(PolicyRuleId id) const;

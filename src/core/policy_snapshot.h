@@ -11,10 +11,10 @@
 // control thread.
 //
 // Query equivalence: the snapshot *is* the live index at its epoch, frozen
-// — same buckets, same posting-list order, same Deny-wins walk — so
-// query() here returns bit-identical decisions to PolicyManager::query()
-// at the epoch the snapshot was taken, including the choice among
-// equally-ranked same-action rules.
+// — same subtables, same rank order — so query() here returns
+// bit-identical decisions to PolicyManager::query() at the epoch the
+// snapshot was taken, including the choice among equally-ranked
+// same-action rules.
 #pragma once
 
 #include <cstdint>

@@ -181,8 +181,9 @@ std::vector<PolicyRule> ScaleGenerator::make_rules(std::uint32_t count) const {
     const std::uint32_t target = targets[i];
     PolicyRule rule;
     rule.action = (i % 5 == 0) ? PolicyAction::kDeny : PolicyAction::kAllow;
-    // Cycle through the index's pivot fields so every posting map carries
-    // real load; one slot in eight is a port-only wildcard rule.
+    // Cycle through eight rule shapes, each naming one endpoint identifier
+    // (one slot in eight only an L4 port, as a "deny SMB/445" rule does), so
+    // every shape's subtable carries real load.
     switch (i % 8) {
       case 0: rule.source.ip = ip_of(target); break;
       case 1: rule.destination.ip = ip_of(target); break;

@@ -8,7 +8,7 @@
 // name (host<->IP), a primary logged-on user (user<->host), and a switch
 // location — 4+ bindings and 4 fresh entities per host, so N = 250k hosts
 // exercises a million-entity ERM — plus a rule population in the 100k range
-// spread across PDP priorities and pivot fields the way real per-department
+// spread across PDP priorities and rule shapes the way real per-department
 // policy is.
 //
 // Everything is a pure function of (config, index): host k's name, user,
@@ -96,11 +96,12 @@ class ScaleGenerator {
                           const std::function<void(const BindingEvent&)>& sink) const;
 
   // ----------------------------------------------------------- policy
-  // Deterministic rule population: `count` rules cycling through the
-  // index's pivot fields (src/dst IP, MAC, user, host, port-only
-  // wildcards), naming entities of this generator's population so queries
-  // actually hit posting lists. Callers spread PDP priorities at insert
-  // time (rules carry no priority of their own).
+  // Deterministic rule population: `count` rules cycling through eight
+  // shapes (src/dst IP, src MAC, src/dst user, src/dst host, or only a
+  // destination L4 port; each also names EtherType IPv4), naming entities
+  // of this generator's population so queries actually hit rules. Callers
+  // spread PDP priorities at insert time (rules carry no priority of their
+  // own).
   std::vector<PolicyRule> make_rules(std::uint32_t count) const;
 
   // The host each rule of make_rules(count) targets, in rule order (rule i

@@ -1,9 +1,11 @@
-// Differential/property tests for the posting-list policy index: the
-// indexed PolicyManager::query must be semantically equivalent to the
-// retained linear-scan oracle query_linear over randomized rule sets and
-// flows, including equal-priority Deny-wins and wildcard-only rules, and
-// the index-driven insert-time conflict sweep must flush exactly the rules
-// the brute-force overlap definition names (paper §III-B).
+// Differential/property tests for the tuple-space policy classifier: the
+// indexed PolicyManager::query must pick exactly the rule the retained
+// linear-scan oracle query_linear picks, over randomized rule sets and
+// flows — equal-priority Deny-wins and lowest-id ties across subtables,
+// fully wildcard rules, rules naming only ports or flow properties, and
+// endpoints with several bound names — and the index-driven insert-time
+// conflict sweep must flush exactly the rules the brute-force overlap
+// definition names (paper §III-B).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 
 #include "bus/message_bus.h"
 #include "core/policy_manager.h"
+#include "testbed/scale_generator.h"
 
 namespace dfi {
 namespace {
@@ -30,12 +33,19 @@ const std::vector<Ipv4Address> kIps = {
     Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 0, 2), Ipv4Address(10, 0, 0, 3),
     Ipv4Address(10, 0, 0, 4)};
 const std::vector<std::uint16_t> kPorts = {22, 80, 445};
+const std::vector<PortNo> kSwitchPorts = {PortNo{1}, PortNo{2}};
 const std::vector<std::uint16_t> kEtherTypes = {0x0800, 0x0806};
 const std::vector<std::uint8_t> kProtos = {6, 17};
 
 class RandomModel {
  public:
-  explicit RandomModel(std::uint32_t seed) : rng_(seed) {}
+  // `crowded`: specs name users and hosts twice as often and endpoints bind
+  // more names, so subtables naming names on both sides see both their
+  // per-name probes and, past their entry count, a visit of every entry.
+  explicit RandomModel(std::uint32_t seed, bool crowded = false)
+      : rng_(seed),
+        name_chance_(crowded ? 0.6 : 0.3),
+        bind_chance_(crowded ? 0.8 : 0.4) {}
 
   bool chance(double p) { return std::uniform_real_distribution<>(0, 1)(rng_) < p; }
 
@@ -46,23 +56,39 @@ class RandomModel {
 
   EndpointSpec random_spec() {
     EndpointSpec spec;
-    if (chance(0.3)) spec.user = pick(kUsers);
-    if (chance(0.3)) spec.host = pick(kHosts);
+    if (chance(name_chance_)) spec.user = pick(kUsers);
+    if (chance(name_chance_)) spec.host = pick(kHosts);
     if (chance(0.4)) spec.ip = pick(kIps);
     if (chance(0.3)) spec.l4_port = pick(kPorts);
     if (chance(0.2)) spec.mac = MacAddress::from_u64(1 + pick(kPorts) % 4);
+    if (chance(0.15)) spec.switch_port = pick(kSwitchPorts);
     if (chance(0.15)) spec.dpid = Dpid{std::uint64_t{1} + pick(kPorts) % 2};
     return spec;
   }
 
+  // A rule naming one field that is neither an address nor a name: an L4
+  // port or switch port on either side, or a flow property.
+  PolicyRule narrow_rule() {
+    PolicyRule rule;
+    rule.action = chance(0.5) ? PolicyAction::kAllow : PolicyAction::kDeny;
+    EndpointSpec& side = chance(0.5) ? rule.source : rule.destination;
+    switch (std::uniform_int_distribution<>(0, 3)(rng_)) {
+      case 0: side.l4_port = pick(kPorts); break;
+      case 1: side.switch_port = pick(kSwitchPorts); break;
+      case 2: rule.properties.ether_type = pick(kEtherTypes); break;
+      default: rule.properties.ip_proto = pick(kProtos); break;
+    }
+    return rule;
+  }
+
   PolicyRule random_rule() {
+    if (chance(0.1)) return narrow_rule();
     PolicyRule rule;
     rule.action = chance(0.5) ? PolicyAction::kAllow : PolicyAction::kDeny;
     if (chance(0.3)) rule.properties.ether_type = pick(kEtherTypes);
     if (chance(0.25)) rule.properties.ip_proto = pick(kProtos);
-    // ~10% of rules stay fully wildcard on both endpoints (wildcard-list
-    // coverage); the rest draw random specs, which may still come out
-    // wildcard-only on the pivot fields (port-only rules).
+    // ~10% of these stay fully wildcard on both endpoints; the rest draw
+    // random specs.
     if (!chance(0.1)) {
       rule.source = random_spec();
       rule.destination = random_spec();
@@ -75,10 +101,22 @@ class RandomModel {
     if (chance(0.9)) view.ip = pick(kIps);
     if (chance(0.9)) view.mac = MacAddress::from_u64(1 + pick(kPorts) % 4);
     if (chance(0.8)) view.l4_port = pick(kPorts);
+    if (chance(0.5)) view.switch_port = pick(kSwitchPorts);
     if (chance(0.3)) view.dpid = Dpid{std::uint64_t{1} + pick(kPorts) % 2};
-    while (chance(0.4)) view.hostnames.push_back(pick(kHosts));
-    while (chance(0.4)) view.usernames.push_back(pick(kUsers));
+    bind(view.hostnames, kHosts);
+    bind(view.usernames, kUsers);
     return view;
+  }
+
+  // Bound names, as the ERM enriches them: distinct, up to six.
+  template <typename T>
+  void bind(std::vector<T>& names, const std::vector<T>& pool) {
+    while (names.size() < 6 && chance(bind_chance_)) {
+      const T& name = pick(pool);
+      if (std::find(names.begin(), names.end(), name) == names.end()) {
+        names.push_back(name);
+      }
+    }
   }
 
   FlowView random_flow() {
@@ -97,26 +135,19 @@ class RandomModel {
 
  private:
   std::mt19937 rng_;
+  double name_chance_;
+  double bind_chance_;
 };
 
-// The differential contract (mirrors tests/differential_test.cc): both
-// implementations must agree on default-deny and action. The deciding rule
-// id may differ among equally-ranked same-action rules.
+// The differential contract: the index decides with exactly the rule the
+// linear scan picks — highest priority, Deny over Allow, then lowest id.
 void expect_equivalent(const PolicyManager& manager, const FlowView& flow) {
   const PolicyDecision indexed = manager.query(flow);
   const PolicyDecision linear = manager.query_linear(flow);
   ASSERT_EQ(indexed.default_deny, linear.default_deny)
       << "index and linear scan disagree on whether any rule matches";
   ASSERT_EQ(indexed.action, linear.action);
-  if (indexed.default_deny || indexed.rule_id == linear.rule_id) return;
-  const auto a = manager.find(indexed.rule_id);
-  const auto b = manager.find(linear.rule_id);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(a->priority, b->priority);
-  EXPECT_EQ(a->rule.action, b->rule.action);
-  EXPECT_TRUE(a->rule.matches(flow));
-  EXPECT_TRUE(b->rule.matches(flow));
+  ASSERT_EQ(indexed.rule_id, linear.rule_id);
 }
 
 class PolicyIndexDifferentialTest : public ::testing::TestWithParam<std::uint32_t> {};
@@ -127,6 +158,18 @@ TEST_P(PolicyIndexDifferentialTest, IndexedQueryMatchesLinearScan) {
   RandomModel model(GetParam());
   for (int i = 0; i < 120; ++i) {
     manager.insert(model.random_rule(), model.random_priority(), "fuzz");
+  }
+  for (int i = 0; i < 300; ++i) {
+    expect_equivalent(manager, model.random_flow());
+  }
+}
+
+TEST_P(PolicyIndexDifferentialTest, ManyBoundNamesMatchLinearScan) {
+  MessageBus bus;
+  PolicyManager manager(bus);
+  RandomModel model(GetParam() ^ 0x6e616d65u, /*crowded=*/true);
+  for (int i = 0; i < 120; ++i) {
+    manager.insert(model.random_rule(), model.random_priority(), "names");
   }
   for (int i = 0; i < 300; ++i) {
     expect_equivalent(manager, model.random_flow());
@@ -193,10 +236,9 @@ TEST_P(PolicyIndexDifferentialTest, ConflictFlushSetMatchesBruteForce) {
 // snapshot held across later inserts and revokes must keep answering
 // exactly as a fresh index built from its epoch's rules in ascending-id
 // order does (the old rebuild-per-publication semantics), and as the
-// linear scan does up to the choice among equally ranked same-action rules.
-// The interleavings create and delete buckets, grow and empty posting
-// lists, free revoked rules whose storage later inserts reuse, and send
-// half of all writes into the largest bucket.
+// linear scan does. The interleavings create and delete subtables, grow
+// and empty entries, free revoked rules whose storage later inserts reuse,
+// and send half of all writes to one priority.
 TEST_P(PolicyIndexDifferentialTest, HeldSnapshotsAnswerLikeAFreshIndexOfTheirEpoch) {
   MessageBus bus;
   PolicyManager manager(bus);
@@ -264,10 +306,10 @@ TEST_P(PolicyIndexDifferentialTest, HeldSnapshotsAnswerLikeAFreshIndexOfTheirEpo
 INSTANTIATE_TEST_SUITE_P(Seeds, PolicyIndexDifferentialTest,
                          ::testing::Range(0u, 6u));
 
-// One write into one large bucket, then snapshot_view(): the publication
-// clones only the nodes on the written path — the root, the bucket, the
-// posting trie's nodes above the list, and the id map's path — so the count
-// stays under one fixed bound whatever the rule count. The population load
+// One write into one large subtable, then snapshot_view(): the publication
+// clones only the nodes on the written path — the root, the subtable, its
+// trie's nodes above the entry, and the id map's path — so the count stays
+// under one fixed bound whatever the rule count. The population load
 // before the first publication mutates in place and clones nothing.
 TEST(PolicyIndexTest, PublishAfterOneWriteClonesABoundedNumberOfNodes) {
   constexpr std::uint64_t kCloneBound = 12;
@@ -304,12 +346,12 @@ TEST(PolicyIndexTest, PublishAfterOneWriteClonesABoundedNumberOfNodes) {
         clones_of([&] { manager.insert(make(rules), PdpPriority{10}, "bulk"); });
     EXPECT_LE(revoke, kCloneBound) << rules << " rules";
     EXPECT_LE(insert, kCloneBound) << rules << " rules";
-    EXPECT_GE(revoke, 3u) << "root, bucket and id path at least";
+    EXPECT_GE(revoke, 3u) << "root, subtable and id path at least";
   }
 }
 
 // Reader threads query held and freshly published snapshots while the
-// control thread keeps writing to the same bucket and publishing. Every
+// control thread keeps writing to the same subtables and publishing. Every
 // answer must equal what the live index answered at that snapshot's epoch;
 // under TSan this is the race check for the shared copy-on-write index (the
 // writer never writes a node a published snapshot can reach, and queries
@@ -400,7 +442,7 @@ FlowView flow_for_user(const char* user) {
   return flow;
 }
 
-TEST(PolicyIndexTest, EqualPriorityDenyWinsWithinPostingList) {
+TEST(PolicyIndexTest, EqualPriorityDenyWinsWithinOneEntry) {
   MessageBus bus;
   PolicyManager manager(bus);
   PolicyRule allow;
@@ -414,26 +456,57 @@ TEST(PolicyIndexTest, EqualPriorityDenyWinsWithinPostingList) {
   EXPECT_EQ(manager.query_linear(flow_for_user("alice")).action, PolicyAction::kDeny);
 }
 
-TEST(PolicyIndexTest, EqualPriorityDenyWinsAcrossWildcardAndPostingList) {
-  // The Allow names a pivot field (posting list); the Deny is wildcard-only
-  // (wildcard list). Equal priority: Deny must still win, which requires
-  // the bucket walk to consider both lists before deciding.
-  MessageBus bus;
-  PolicyManager manager(bus);
-  PolicyRule allow;
-  allow.action = PolicyAction::kAllow;
-  allow.source.user = Username{"alice"};
-  PolicyRule deny;  // fully wildcard
-  deny.action = PolicyAction::kDeny;
-  manager.insert(allow, PdpPriority{10}, "a");
-  manager.insert(deny, PdpPriority{10}, "b");
-  EXPECT_EQ(manager.query(flow_for_user("alice")).action, PolicyAction::kDeny);
+TEST(PolicyIndexTest, EqualPriorityDenyWinsAcrossSubtables) {
+  // The Allow names a user; each Deny names another shape (none, or only a
+  // port), so each sits in a subtable of its own. Equal priority: the Deny
+  // must win whichever subtable the walk reaches first, which requires it
+  // to keep probing subtables whose highest priority equals the best's.
+  for (const bool port_only : {false, true}) {
+    MessageBus bus;
+    PolicyManager manager(bus);
+    PolicyRule allow;
+    allow.action = PolicyAction::kAllow;
+    allow.source.user = Username{"alice"};
+    PolicyRule deny;
+    deny.action = PolicyAction::kDeny;
+    if (port_only) deny.destination.l4_port = 445;
+    manager.insert(allow, PdpPriority{10}, "a");
+    const PolicyRuleId denied = manager.insert(deny, PdpPriority{10}, "b");
+    FlowView flow = flow_for_user("alice");
+    flow.dst.l4_port = 445;
+    EXPECT_EQ(manager.query(flow).rule_id, denied);
+    EXPECT_EQ(manager.query_linear(flow).rule_id, denied);
+  }
 }
 
-TEST(PolicyIndexTest, WildcardOnlyRuleMatchesViaWildcardList) {
+TEST(PolicyIndexTest, EqualPriorityEqualActionTieGoesToLowestIdAcrossSubtables) {
+  // Three Allows at one priority in three subtables, inserted so that the
+  // lowest id sits in the subtable with the highest mask (walked last among
+  // equals): the linear scan keeps its first match, the lowest id.
   MessageBus bus;
   PolicyManager manager(bus);
-  PolicyRule port_only;  // no pivot field concrete: lives on the wildcard list
+  PolicyRule by_port;
+  by_port.action = PolicyAction::kAllow;
+  by_port.destination.l4_port = 445;
+  PolicyRule by_user = by_port;
+  by_user.destination.l4_port.reset();
+  by_user.source.user = Username{"alice"};
+  PolicyRule by_proto = by_user;
+  by_proto.source.user.reset();
+  by_proto.properties.ether_type = 0x0800;
+  const PolicyRuleId first = manager.insert(by_port, PdpPriority{10}, "a");
+  manager.insert(by_user, PdpPriority{10}, "b");
+  manager.insert(by_proto, PdpPriority{10}, "c");
+  FlowView flow = flow_for_user("alice");
+  flow.dst.l4_port = 445;
+  EXPECT_EQ(manager.query(flow).rule_id, first);
+  EXPECT_EQ(manager.query_linear(flow).rule_id, first);
+}
+
+TEST(PolicyIndexTest, PortOnlyRuleMatchesThroughItsSubtable) {
+  MessageBus bus;
+  PolicyManager manager(bus);
+  PolicyRule port_only;  // no address or name: keyed by the port alone
   port_only.action = PolicyAction::kAllow;
   port_only.destination.l4_port = 445;
   const PolicyRuleId id = manager.insert(port_only, PdpPriority{10}, "t");
@@ -457,6 +530,85 @@ TEST(PolicyIndexTest, HigherPriorityBucketDecidesBeforeLowerIsVisited) {
   const PolicyDecision decision = manager.query(flow_for_user("alice"));
   EXPECT_EQ(decision.action, PolicyAction::kAllow);
   EXPECT_EQ(decision.rule_id, high);
+}
+
+// A subtable naming a user on each side is probed once per pair of the
+// flow's bound user ids while there are no more pairs than entries, and
+// visited entry by entry past that. Either way the decision is the linear
+// scan's; the work counters show which path ran.
+TEST(PolicyIndexTest, BoundNamesProbeEachCombinationUntilEntriesAreFewer) {
+  const auto pair_rule = [](const char* src, const char* dst) {
+    PolicyRule rule;
+    rule.action = PolicyAction::kAllow;
+    rule.source.user = Username{src};
+    rule.destination.user = Username{dst};
+    return rule;
+  };
+  FlowView flow;
+  flow.ether_type = 0x0800;
+  flow.src.usernames = {Username{"alice"}, Username{"carol"}, Username{"erin"}};
+  flow.dst.usernames = {Username{"bob"}, Username{"frank"}};
+
+  for (const bool many_entries : {false, true}) {
+    MessageBus bus;
+    PolicyManager manager(bus);
+    const PolicyRuleId match =
+        manager.insert(pair_rule("alice", "bob"), PdpPriority{10}, "p");
+    manager.insert(pair_rule("carol", "dave"), PdpPriority{20}, "p");
+    if (many_entries) {
+      for (const char* user : {"u1", "u2", "u3", "u4", "u5"}) {
+        manager.insert(pair_rule(user, user), PdpPriority{20}, "p");
+      }
+    }
+    const PolicyIndexStats before = manager.index_stats();
+    EXPECT_EQ(manager.query(flow).rule_id, match);
+    EXPECT_EQ(manager.query_linear(flow).rule_id, match);
+    const PolicyIndexStats after = manager.index_stats();
+    EXPECT_EQ(after.subtables_probed - before.subtables_probed, 1u);
+    // 3 x 2 = 6 pairs: probed against 7 entries (only alice->bob exists),
+    // visited against 2 (both rules tested, in either order).
+    EXPECT_EQ(after.match_candidates - before.match_candidates, many_entries ? 1u : 2u);
+  }
+}
+
+// The e2ebench population: 10k generated rules in 8 shapes over 8
+// priorities. Loaded highest priority first, no insert has a strictly
+// lower subtable to sweep. One rule naming every field those shapes name,
+// inserted above them all, probes each shape's one key instead of visiting
+// its entries.
+TEST(PolicyIndexTest, OverlapSweepProbesOneKeyPerShapeOnALoadedIndex) {
+  ScaleConfig config;
+  config.hosts = 20000;
+  config.hosts_per_switch = 5000;
+  const ScaleGenerator gen(config);
+  constexpr std::uint32_t kRules = 10000;
+  MessageBus bus;
+  PolicyManager manager(bus);
+  const std::vector<PolicyRule> rules = gen.make_rules(kRules);
+  for (std::uint32_t i = 0; i < kRules; ++i) {
+    manager.insert(rules[i], PdpPriority{8 - (i * 8) / kRules}, "population");
+  }
+  EXPECT_EQ(manager.index_stats().overlap_candidates, 0u);
+
+  for (std::uint32_t a = 0; a < 20; ++a) {
+    const std::uint32_t b = a + 1000;
+    PolicyRule rule;
+    rule.action = a % 2 == 0 ? PolicyAction::kAllow : PolicyAction::kDeny;
+    rule.properties.ether_type = 0x0800;
+    rule.properties.ip_proto = 6;
+    rule.source.ip = gen.ip_of(a);
+    rule.source.mac = gen.mac_of(a);
+    rule.source.user = Username{gen.user_name(a)};
+    rule.source.host = Hostname{gen.host_name(a)};
+    rule.destination.ip = gen.ip_of(b);
+    rule.destination.user = Username{gen.user_name(b)};
+    rule.destination.host = Hostname{gen.host_name(b)};
+    rule.destination.l4_port = 22;
+    const std::uint64_t before = manager.index_stats().overlap_candidates;
+    const PolicyRuleId id = manager.insert(rule, PdpPriority{9}, "churn");
+    EXPECT_LT(manager.index_stats().overlap_candidates - before, 10u) << "host " << a;
+    ASSERT_TRUE(manager.revoke(id));
+  }
 }
 
 TEST(PolicyIndexTest, PolicyEpochBumpsOnInsertAndRevokeOnly) {

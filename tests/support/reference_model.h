@@ -7,7 +7,7 @@
 // the same `erm.bindings` topic, after the real ERM, so it sees the same
 // delivered sequence), plus a private PolicyManager mirror fed the same
 // policy inserts/revokes the fuzzer applies to the system. Verdicts come
-// from the linear-scan reference query, not the posting-list index, and
+// from the linear-scan reference query, not the tuple-space index, and
 // never touch snapshots, decision caches, or the shard pool — everything
 // the system under test layers on top of the semantics is absent here, so
 // any divergence is a system bug, not a modelling artifact.

@@ -7,10 +7,12 @@
 #          a ClockFn (common/sim_time.h); only the composition root
 #          (core/dfi_system.cc) and the simulated testbed's time-of-day PDP
 #          (core/pdps/time_of_day.{h,cc}) reach the simulator. Then
-#          configure + build + full ctest suite (the 600 tier-1 tests),
-#          then the proxy-datapath, scale-out, entity-plane and socket-
-#          datapath benches in smoke mode, each gated against its committed
-#          baseline under bench/baselines/
+#          configure + build + full ctest suite (the 612 tier-1 tests),
+#          then the proxy-datapath, scale-out, entity-plane, socket-
+#          datapath and failover benches in smoke mode, each gated against
+#          its committed baseline under bench/baselines/. Every bench gate
+#          runs even when an earlier one fails; the stage then fails naming
+#          each gate that failed
 #   asan   ASan+UBSan build (-DDFI_SANITIZE=ON) of the memory-sensitive
 #          component tests — including the proxy teardown regressions
 #   tsan   TSan build (-DDFI_SANITIZE=thread) of the SPSC ring stress, the
@@ -86,42 +88,56 @@ if want tier1; then
   echo "== tier-1: ctest =="
   ctest --test-dir build --output-on-failure -j "${JOBS}"
 
-  echo "== tier-1: proxy datapath bench (smoke + baseline gate) =="
+  # Each bench gate runs from build/bench; a failing gate is recorded and
+  # the next one still runs, so one red floor hides none of the others.
+  failed_gates=()
+  bench_gate() {
+    local name="$1"
+    shift
+    echo "== tier-1: ${name} bench (smoke + baseline gate) =="
+    if ! (cd build/bench && "$@"); then
+      echo "tier-1: ${name} bench gate FAILED" >&2
+      failed_gates+=("${name}")
+    fi
+  }
+
   # Byte-identity + zero-allocation checks, then speedups vs the committed
-  # conservative floors; a >10% regression below a floor fails the stage.
-  (cd build/bench && ./bench_micro_proxy_datapath --smoke \
-    --check-baseline ../../bench/baselines/BENCH_proxy_datapath.baseline.json)
+  # conservative floors; a >10% regression below a floor fails the gate.
+  bench_gate proxy-datapath ./bench_micro_proxy_datapath --smoke \
+    --check-baseline ../../bench/baselines/BENCH_proxy_datapath.baseline.json
 
-  echo "== tier-1: batched-datapath scale-out bench (smoke + baseline gate) =="
   # Batch-mode decisions/s for the SPSC-ring datapath vs the committed
-  # conservative floors; a >10% shortfall below a floor fails the stage.
-  (cd build/bench && ./bench_ablation_scaleout --smoke \
-    --check-baseline ../../bench/baselines/BENCH_scaleout.baseline.json)
+  # conservative floors; a >10% shortfall below a floor fails the gate.
+  bench_gate scale-out ./bench_ablation_scaleout --smoke \
+    --check-baseline ../../bench/baselines/BENCH_scaleout.baseline.json
 
-  echo "== tier-1: entity-plane scale bench (smoke + baseline gate) =="
   # Interned-entity decision latency, incremental-publish throughput, and
-  # RSS/binding vs committed floors; policy publication (revoke + insert +
-  # snapshot_view) at two rule counts vs committed floors; in-process
-  # scaling gates (decision latency <=2x, publish <=10x across the entity
-  # sweep, policy publication <=4x across the rule counts) in every mode.
-  (cd build/bench && ./bench_erm_scale --smoke \
-    --check-baseline ../../bench/baselines/BENCH_erm_scale.baseline.json)
+  # RSS/binding vs committed floors; policy query and publication (revoke
+  # + insert + snapshot_view) at two rule counts vs committed floors;
+  # in-process scaling gates (decision latency <=2x, publish <=10x across
+  # the entity sweep, policy publication <=4x and policy query <=2x across
+  # the rule counts) in every mode.
+  bench_gate entity-plane ./bench_erm_scale --smoke \
+    --check-baseline ../../bench/baselines/BENCH_erm_scale.baseline.json
 
-  echo "== tier-1: socket datapath bench (smoke + baseline gate) =="
   # Loopback TCP echo through the epoll event loop + readv/writev
   # Connections: frames/s and p50/p99 vs committed floors, the best-b64
   # figure vs 50% of the BENCH_proxy_datapath mixed figure, and zero
   # steady-state allocations asserted in-binary.
-  (cd build/bench && ./bench_socket_datapath --smoke \
-    --check-baseline ../../bench/baselines/BENCH_socket_datapath.baseline.json)
+  bench_gate socket-datapath ./bench_socket_datapath --smoke \
+    --check-baseline ../../bench/baselines/BENCH_socket_datapath.baseline.json
 
-  echo "== tier-1: failover bench (smoke + baseline gate) =="
   # Warm-standby promotion drill (detection deadline, fenced stand-down,
   # post-promotion FlowMod) and steady-state replication records/s —
   # unreplicated vs in-memory link vs loopback ReplTransport — vs the
   # committed floors; standby byte-identity asserted in-binary.
-  (cd build/bench && ./bench_failover --smoke \
-    --check-baseline ../../bench/baselines/BENCH_failover.baseline.json)
+  bench_gate failover ./bench_failover --smoke \
+    --check-baseline ../../bench/baselines/BENCH_failover.baseline.json
+
+  if (( ${#failed_gates[@]} > 0 )); then
+    echo "tier-1: ${#failed_gates[@]} bench gate(s) failed: ${failed_gates[*]}" >&2
+    exit 1
+  fi
 fi
 
 if want asan; then
