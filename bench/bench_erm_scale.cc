@@ -33,6 +33,9 @@
 //     smallest (a rebuild per publication grows linearly instead);
 //   * policy queries/s at the largest rule count >= half the next smaller
 //     point's (a query that scans a list growing with the rules fails it);
+//   * at every entity point, the nodes cloned over the binding publishes
+//     == the nodes on their writes' tree paths, exactly (a count, so host
+//     speed cannot move it);
 // plus committed per-point floors via --check-baseline.
 //
 // Usage:
@@ -96,7 +99,33 @@ struct ScalePoint {
   double publish_per_sec = 0;
   double rss_per_binding_bytes = 0;
   std::uint64_t cow_page_copies = 0;
+  std::uint64_t publishes = 0;
+  std::uint64_t expected_clones = 0;  // what cow_page_copies must read
 };
+
+// Nodes on one write's path through a CowRadixMap holding the ids below
+// `ids`: a leaf plus h inner levels, where a root at height h covers the
+// ids below 32^(h + 1) and a non-empty tree has one.
+std::uint64_t radix_path_nodes(std::uint64_t ids) {
+  std::uint64_t nodes = 2;
+  for (std::uint64_t covered = 32 * 32; covered < ids; covered *= 32) ++nodes;
+  return nodes;
+}
+
+// Nodes of `table` that retracting one id from the list under `key` frees:
+// none while the list keeps another id; else its leaf, and each inner node
+// above it, while `key` is the only key under that node. `table` must hold
+// another key.
+std::uint64_t nodes_freed(const CowRadixMap<PostingListPtr>& table, EntityId key) {
+  if (list_of(table, key)->size() > 1) return 0;
+  std::uint64_t freed = 0;
+  for (std::uint64_t span = 32;; span *= 32, ++freed) {
+    const std::uint64_t first = key.value / span * span;
+    for (std::uint64_t k = first; k < first + span; ++k) {
+      if (k != key.value && table.find(k) != nullptr) return freed;
+    }
+  }
+}
 
 ScalePoint run_point(std::uint32_t hosts, std::uint32_t rules, bool smoke) {
   ScaleConfig config;
@@ -194,8 +223,28 @@ ScalePoint run_point(std::uint32_t hosts, std::uint32_t rules, bool smoke) {
   // One binding event, one publication, repeatedly: the cost under test is
   // exactly what a log-on between two Packet-in bursts costs the control
   // thread. Alternates retract/assert so every event is a real change.
-  const std::uint64_t cow_before = erm.cow_stats().page_copies;
   const std::size_t publishes = smoke ? 2000 : 10000;
+  // The clone count this must cost. After a publication a write clones
+  // every node on its path that exists: one per level of user_to_hosts
+  // (keyed by user ids) and of host_to_users (keyed by host ids). A
+  // retraction that empties a key alone under a node frees the node, and
+  // the assertion after it creates the node instead of cloning it. Every
+  // retract/assert pair starts from the loaded state.
+  point.publishes = publishes;
+  {
+    const ErmSnapshot loaded = erm.snapshot_view();
+    const EntityInterner& names = erm.interner();
+    point.expected_clones = publishes * (radix_path_nodes(names.users().size()) +
+                                         radix_path_nodes(names.hosts().size()));
+    for (std::size_t pair = 0; pair < publishes / 2; ++pair) {
+      const std::uint32_t h = static_cast<std::uint32_t>(pair % hosts);
+      point.expected_clones -= nodes_freed(loaded.tables().user_to_hosts,
+                                           names.users().find(gen.user_name(h)));
+      point.expected_clones -= nodes_freed(loaded.tables().host_to_users,
+                                           names.hosts().find(gen.host_name(h)));
+    }
+  }
+  const std::uint64_t cow_before = erm.cow_stats().page_copies;
   const Clock::time_point publish_start = Clock::now();
   for (std::size_t i = 0; i < publishes; ++i) {
     BindingEvent event;
@@ -214,7 +263,7 @@ ScalePoint run_point(std::uint32_t hosts, std::uint32_t rules, bool smoke) {
 
   std::printf(
       "%-8s %9zu entities %9zu bindings  load %6.2fs  %9.0f decisions/s "
-      "(%zu allowed)  %8.0f publishes/s  %5.0f B/binding  %llu page copies\n",
+      "(%zu allowed)  %8.0f publishes/s  %5.0f B/binding  %llu nodes cloned\n",
       point.name.c_str(), point.entities, point.bindings, point.load_s,
       point.decisions_per_sec, allowed, point.publish_per_sec,
       point.rss_per_binding_bytes,
@@ -537,6 +586,23 @@ int run(bool smoke, const char* baseline_path) {
     if (failures == 0) {
       std::printf("gates ok: decision ratio %.2fx (<=2x), publish ratio %.2fx (<=10x)\n",
                   decision_ratio, publish_ratio);
+    }
+  }
+  // Binding publication is O(changed), counted: each publish clones the
+  // nodes on its write's tree paths and nothing else.
+  for (const ScalePoint& p : points) {
+    if (p.cow_page_copies != p.expected_clones) {
+      std::fprintf(stderr,
+                   "FAIL: %s cloned %llu nodes over %llu publishes (gate: exactly "
+                   "%llu)\n",
+                   p.name.c_str(), static_cast<unsigned long long>(p.cow_page_copies),
+                   static_cast<unsigned long long>(p.publishes),
+                   static_cast<unsigned long long>(p.expected_clones));
+      ++failures;
+    } else {
+      std::printf("gates ok: %s cloned exactly %llu nodes over %llu publishes\n",
+                  p.name.c_str(), static_cast<unsigned long long>(p.cow_page_copies),
+                  static_cast<unsigned long long>(p.publishes));
     }
   }
   // Policy publication is O(changed): from 1k rules to 10k (smoke) or 100k

@@ -1,33 +1,27 @@
-// Generation-tagged copy-on-write structures: paged tables keyed by dense
-// entity ids, hash tries keyed by sparse 64-bit values, and radix trees
-// keyed by ascending ids.
+// Generation-tagged copy-on-write structures: hash tries keyed by sparse
+// 64-bit values, and radix trees keyed by ids issued in ascending order.
 //
-// PR 2's snapshot isolation rebuilt the whole ErmIdentityTables on every
-// dirty epoch — O(total bindings) per publication, which is exactly what a
-// million-entity ERM cannot afford when one log-on event lands between two
-// Packet-in bursts. A CowTable instead stores its values in fixed-size
-// pages behind a shared root: taking a snapshot is a root-pointer copy, and
-// the *next* mutation path-copies only the root page vector and the one
-// dirty page — O(changed), independent of table size. A CowHashMap applies
-// the same scheme to keys too sparse for dense pages (IPs, MACs, DPIDs),
-// and a CowRadixMap to ids issued in ascending order, whose live range
-// drifts upward under churn: their nodes have a bounded size, and a
-// mutation path-copies the nodes from the root down to the one slot it
-// writes (the policy index, core/policy_index.h).
+// Both databases the decision path reads publish through these maps: the
+// ERM's binding tables (core/erm_snapshot.h), keyed by dense entity ids,
+// and the policy index (core/policy_index.h), whose rules sit in a
+// CowRadixMap by id and whose subtables are CowHashMaps over masked keys.
+// Taking a snapshot is an O(1) copy of the owner's root pointers, and the
+// *next* mutation path-copies only the nodes from the root down to the one
+// slot it writes — O(changed), independent of how much the map holds.
 //
 // Race-freedom without use_count() probes (see the caveat in
 // common/snapshot.h): sharing is tracked by generation tags, not refcounts.
-// Publishing a snapshot — CowTable::freeze(), or the owner's own counter
-// for the maps, which take the generation as an argument — bumps the
-// structure's generation; a node (page, trie node or root) whose
-// tag lags the current generation may be referenced by some snapshot and
-// is cloned before the first write (cow_write below), while nodes created
-// after the latest freeze carry the current tag and are mutated in place.
-// The control thread never writes memory a snapshot can reach, so readers
-// need no synchronization beyond the snapshot handoff itself.
+// The maps have no generation of their own: their owner keeps one counter
+// and passes it to every write, so one bump at publication freezes every
+// map of a structure at once. A node whose tag lags the current generation
+// may be referenced by some snapshot and is cloned before the first write
+// (cow_write below), while nodes created after the latest publication carry
+// the current tag and are mutated in place. The control thread never writes
+// memory a snapshot can reach, so readers need no synchronization beyond
+// the snapshot handoff itself.
 //
 // Single-writer contract (same as common/snapshot.h): all mutation and
-// freezing happen on the control thread; reader threads only ever touch
+// publication happen on the control thread; reader threads only ever touch
 // frozen copies obtained through a published snapshot.
 #pragma once
 
@@ -43,15 +37,15 @@
 namespace dfi {
 
 struct CowTableStats {
-  std::uint64_t page_copies = 0;   // pages/nodes cloned because a snapshot shares them
-  std::uint64_t root_copies = 0;   // root vectors cloned after a freeze
+  std::uint64_t page_copies = 0;   // map nodes cloned because a snapshot shares them
+  std::uint64_t root_copies = 0;   // owner roots cloned after a publication
 };
 
 // The one path-copy step every structure here is built from: make `node`
 // writable at `generation`. A null node is created; a node whose tag lags
 // the generation may be shared by a published snapshot and is cloned first
-// (counted in `copies`); a node created since the latest freeze is private
-// to the writer and mutated in place. `Node` needs a `tag` member.
+// (counted in `copies`); a node created since the latest publication is
+// private to the writer and mutated in place. `Node` needs a `tag` member.
 template <typename Node>
 Node& cow_write(std::shared_ptr<Node>& node, std::uint64_t generation,
                 std::uint64_t& copies) {
@@ -67,68 +61,14 @@ Node& cow_write(std::shared_ptr<Node>& node, std::uint64_t generation,
   return *node;
 }
 
-template <typename V, std::uint32_t kPageShift = 9>
-class CowTable {
- public:
-  static constexpr std::uint32_t kPageSize = 1u << kPageShift;
-  static constexpr std::uint32_t kPageMask = kPageSize - 1;
-
-  CowTable() : root_(std::make_shared<Root>()) {}
-
-  // Readable slot for `id`, or nullptr when the id was never written in
-  // this version. Safe on any thread holding a frozen copy.
-  const V* find(std::uint32_t id) const {
-    const Root& root = *root_;
-    const std::uint32_t page_index = id >> kPageShift;
-    if (page_index >= root.pages.size()) return nullptr;
-    const Page* page = root.pages[page_index].get();
-    if (page == nullptr) return nullptr;
-    return &page->slots[id & kPageMask];
-  }
-
-  // Writer only: mark every currently reachable page as potentially shared.
-  // Call once per published snapshot; the next mutation of each shared
-  // page clones it first.
-  void freeze() { ++generation_; }
-
-  // Writer only: writable slot for `id`, path-copying shared structure.
-  V& mutate(std::uint32_t id) {
-    Root& root = cow_write(root_, generation_, stats_.root_copies);
-    const std::uint32_t page_index = id >> kPageShift;
-    if (page_index >= root.pages.size()) root.pages.resize(page_index + 1);
-    Page& page = cow_write(root.pages[page_index], generation_, stats_.page_copies);
-    return page.slots[id & kPageMask];
-  }
-
-  std::size_t page_count() const { return root_->pages.size(); }
-  const CowTableStats& stats() const { return stats_; }
-
- private:
-  struct Page {
-    std::uint64_t tag = 0;
-    std::array<V, kPageSize> slots{};
-  };
-  struct Root {
-    std::uint64_t tag = 0;
-    std::vector<std::shared_ptr<Page>> pages;
-  };
-
-  std::shared_ptr<Root> root_;
-  std::uint64_t generation_ = 0;
-  CowTableStats stats_;
-};
-
 // Copy-on-write hash trie over 64-bit keys (a CHAMP trie: each node holds
 // up to 32 inline entries and sub-nodes, addressed by a 5-bit slice of the
 // key's hash). Empty key ranges cost nothing, so sparse keys need no dense
-// pages. The hash is mix64, a bijection, so two keys never share a full
+// arrays. The hash is mix64, a bijection, so two keys never share a full
 // hash path and no collision nodes exist. A write path-copies one node per
 // level it descends (at most 13; a few thousand keys sit 2-3 deep) and
 // never a sibling. Erase folds a sub-node left holding one entry back into
 // its parent, so churn leaves no chains of near-empty nodes.
-//
-// The map has no generation of its own: its owner passes one in, so one
-// counter bump freezes a whole structure of maps at once.
 template <typename V>
 class CowHashMap {
  public:
@@ -249,10 +189,11 @@ class CowHashMap {
 // Nodes are 32-way and indexed most significant slice first, and the tree
 // grows in height as keys grow, so consecutive keys share their whole path:
 // a bulk load keeps writing one hot leaf, iteration runs in key order, and
-// a subtree emptied by churn is freed instead of lingering as a dead page.
+// a subtree emptied by churn is freed instead of lingering as a dead node.
 // A write path-copies one node per level (log32 of the largest key: three
 // levels up to 32k, four up to 1M). A default-constructed V marks an empty
-// slot, so V must test false when empty (a smart pointer).
+// slot, so V must test false when empty (a smart pointer, or a number whose
+// 0 means absent); emptying a slot is an erase, not an assign.
 template <typename V>
 class CowRadixMap {
  public:
@@ -271,8 +212,9 @@ class CowRadixMap {
     return value ? &value : nullptr;
   }
 
-  // Writer only: store non-empty `value` under absent `key`.
-  void insert(std::uint64_t key, V value, std::uint64_t generation, CowTableStats& stats) {
+  // Writer only: store non-empty `value` under `key`, replacing any value
+  // already there.
+  void assign(std::uint64_t key, V value, std::uint64_t generation, CowTableStats& stats) {
     while (!covers(key)) {
       auto grown = std::make_shared<Inner>();
       grown->tag = generation;
@@ -292,9 +234,12 @@ class CowRadixMap {
     std::shared_ptr<Leaf>& slot = node->leaves[slice(key, 1)];
     if (slot == nullptr) ++node->live;
     Leaf& leaf = cow_write(slot, generation, stats.page_copies);
-    leaf.values[slice(key, 0)] = std::move(value);
-    ++leaf.live;
-    ++size_;
+    V& stored = leaf.values[slice(key, 0)];
+    if (!stored) {
+      ++leaf.live;
+      ++size_;
+    }
+    stored = std::move(value);
   }
 
   // Writer only: remove `key`; false (and no copy) when absent.

@@ -6,8 +6,9 @@
 // of strings. Instead, every entity named anywhere in the identity plane is
 // interned once into a per-kind namespace (user / host / IP / MAC) and from
 // then on travels as a dense 32-bit `EntityId` — small enough to pack into
-// posting lists, to index paged copy-on-write tables (common/cow_table.h)
-// directly, and to mark in a scratch bitmap during enrichment dedup.
+// posting lists, to key copy-on-write radix trees (common/cow_table.h)
+// whose nodes it fills densely, and to mark in a scratch bitmap during
+// enrichment dedup.
 //
 // Id contract:
 //   * ids are dense: the k-th distinct entity interned into a namespace
@@ -18,18 +19,21 @@
 //     as a host yields two unrelated ids.
 //
 // Concurrency contract (mirrors common/snapshot.h): exactly one writer —
-// the control thread — ever calls intern(). Concurrent readers (PCP shard
-// workers enriching against a published ErmSnapshot) may call
+// the control thread — ever calls intern() and the interners' own find().
+// Concurrent readers (PCP shard workers enriching against a published
+// ErmSnapshot) may call
 //   * view()/key() for any id they obtained from a published snapshot or
 //     from a lookup table capture, and
-//   * find() through a `Reader` captured on the control thread at snapshot
-//     time.
+//   * find() through a `ValueInterner::Reader` captured on the control
+//     thread at snapshot time (the snapshot's IP lookup).
 // Entry storage is chunked with atomically published chunk pointers and
 // the lookup table uses open-addressing slots published with release
 // stores, so readers never observe a partially initialized entry. Growth
 // rehashes into a fresh table; readers holding the previous capture simply
 // miss entries interned after their snapshot, which is exactly what their
-// snapshot's binding tables answer anyway.
+// snapshot's binding tables answer anyway. Users and hosts are only ever
+// resolved name -> id on the control thread, so StringInterner has no
+// reader capture.
 #pragma once
 
 #include <atomic>
@@ -63,12 +67,6 @@ inline constexpr std::uint32_t kChunkShift = 12;  // 4096 entries per chunk
 inline constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 inline constexpr std::uint32_t kChunkMask = kChunkSize - 1;
 inline constexpr std::uint32_t kMaxChunks = 1u << 12;  // 16M ids per namespace
-
-inline std::uint64_t hash_u64(std::uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 // Open-addressing lookup table: slots hold id+1 (0 = empty), published with
 // release stores so a reader that observes a slot also observes the entry
@@ -159,31 +157,6 @@ class StringInterner {
 
   std::uint32_t size() const { return size_; }
 
-  // Capture of the lookup table for concurrent readers. Take it on the
-  // writer thread; find() through it from anywhere. Entries interned after
-  // the capture may or may not be visible — both answers are consistent
-  // with any snapshot taken at or before the capture.
-  class Reader {
-   public:
-    Reader() = default;
-    EntityId find(std::string_view s) const {
-      if (owner_ == nullptr) return EntityId{};
-      return owner_->find_in(*table_, s,
-                             hash_bytes(s.data(), s.size()));
-    }
-
-   private:
-    friend class StringInterner;
-    Reader(const StringInterner* owner,
-           std::shared_ptr<const intern_detail::LookupTable> table)
-        : owner_(owner), table_(std::move(table)) {}
-    const StringInterner* owner_ = nullptr;
-    std::shared_ptr<const intern_detail::LookupTable> table_;
-  };
-
-  // Writer only (hands out the current table).
-  Reader reader() const { return Reader(this, table_); }
-
  private:
   struct Entry {
     const char* data = nullptr;
@@ -248,7 +221,7 @@ class StringInterner {
 };
 
 // Interns fixed-width values (IPv4 addresses as u32, MACs as u48-in-u64)
-// into dense ids, so the numeric namespaces get the same paged-table and
+// into dense ids, so the numeric namespaces get the same dense-id table and
 // bitmap treatment as the string ones.
 class ValueInterner {
  public:
@@ -272,6 +245,10 @@ class ValueInterner {
   std::uint64_t key(EntityId id) const { return entries_.at(id.value); }
   std::uint32_t size() const { return size_; }
 
+  // Capture of the lookup table for concurrent readers. Take it on the
+  // writer thread; find() through it from anywhere. Entries interned after
+  // the capture may or may not be visible — both answers are consistent
+  // with any snapshot taken at or before the capture.
   class Reader {
    public:
     Reader() = default;
@@ -294,7 +271,7 @@ class ValueInterner {
 
  private:
   EntityId find_in(const intern_detail::LookupTable& table, std::uint64_t key) const {
-    for (std::uint32_t probe = static_cast<std::uint32_t>(intern_detail::hash_u64(key));;) {
+    for (std::uint32_t probe = static_cast<std::uint32_t>(mix64(key));;) {
       probe &= table.mask;
       const std::uint32_t slot = table.slots[probe].load(std::memory_order_acquire);
       if (slot == 0) return EntityId{};
@@ -305,7 +282,7 @@ class ValueInterner {
   }
 
   void publish(intern_detail::LookupTable& table, EntityId id, std::uint64_t key) {
-    for (std::uint32_t probe = static_cast<std::uint32_t>(intern_detail::hash_u64(key));;) {
+    for (std::uint32_t probe = static_cast<std::uint32_t>(mix64(key));;) {
       probe &= table.mask;
       if (table.slots[probe].load(std::memory_order_relaxed) == 0) {
         table.slots[probe].store(id.value + 1, std::memory_order_release);

@@ -9,19 +9,18 @@
 namespace dfi {
 namespace {
 
-// Copy-on-write sorted-posting-list edits. The list order is the
-// *presentation* order of the entities (lexicographic for names, numeric
-// for addresses) so enrichment and persistence output need no sorting;
-// `less` supplies that order. Both return whether the list changed —
-// redundant edits must not bump the ERM epoch.
+// Copy-on-write sorted-posting-list edits of `table`, one of the six
+// `tables`. The list order is the *presentation* order of the entities
+// (lexicographic for names, numeric for addresses) so enrichment and
+// persistence output need no sorting; `less` supplies that order. Both
+// return whether the list changed — redundant edits must not bump the ERM
+// epoch.
 template <typename Less>
-bool posting_insert(CowTable<PostingListPtr>& table, EntityId key, EntityId id,
-                    Less&& less) {
-  const PostingListPtr* slot = table.find(key.value);
-  const PostingListPtr current = slot != nullptr ? *slot : nullptr;
-  if (current == nullptr || current->empty()) {
-    table.mutate(key.value) =
-        std::make_shared<const std::vector<EntityId>>(1, id);
+bool list_insert(ErmIdentityTables& tables, CowRadixMap<PostingListPtr>& table,
+                 EntityId key, EntityId id, Less&& less) {
+  const std::vector<EntityId>* current = list_of(table, key);
+  if (current == nullptr) {
+    tables.write(table, key, std::make_shared<const std::vector<EntityId>>(1, id));
     return true;
   }
   const auto pos = std::lower_bound(current->begin(), current->end(), id, less);
@@ -31,38 +30,28 @@ bool posting_insert(CowTable<PostingListPtr>& table, EntityId key, EntityId id,
   next.insert(next.end(), current->begin(), pos);
   next.push_back(id);
   next.insert(next.end(), pos, current->end());
-  table.mutate(key.value) =
-      std::make_shared<const std::vector<EntityId>>(std::move(next));
+  tables.write(table, key,
+               std::make_shared<const std::vector<EntityId>>(std::move(next)));
   return true;
 }
 
 template <typename Less>
-bool posting_erase(CowTable<PostingListPtr>& table, EntityId key, EntityId id,
-                   Less&& less) {
-  const PostingListPtr* slot = table.find(key.value);
-  const PostingListPtr current = slot != nullptr ? *slot : nullptr;
-  if (current == nullptr || current->empty()) return false;
+bool list_erase(ErmIdentityTables& tables, CowRadixMap<PostingListPtr>& table,
+                EntityId key, EntityId id, Less&& less) {
+  const std::vector<EntityId>* current = list_of(table, key);
+  if (current == nullptr) return false;
   const auto pos = std::lower_bound(current->begin(), current->end(), id, less);
   if (pos == current->end() || *pos != id) return false;
-  if (current->size() == 1) {
-    table.mutate(key.value) = nullptr;  // empty list == absent key
-    return true;
+  PostingListPtr next;  // empty when `id` was the last: an erase
+  if (current->size() > 1) {
+    std::vector<EntityId> rest;
+    rest.reserve(current->size() - 1);
+    rest.insert(rest.end(), current->begin(), pos);
+    rest.insert(rest.end(), pos + 1, current->end());
+    next = std::make_shared<const std::vector<EntityId>>(std::move(rest));
   }
-  std::vector<EntityId> next;
-  next.reserve(current->size() - 1);
-  next.insert(next.end(), current->begin(), pos);
-  next.insert(next.end(), pos + 1, current->end());
-  table.mutate(key.value) =
-      std::make_shared<const std::vector<EntityId>>(std::move(next));
+  tables.write(table, key, std::move(next));
   return true;
-}
-
-const std::vector<EntityId>* list_of(const CowTable<PostingListPtr>& table,
-                                     EntityId key) {
-  if (!key.valid()) return nullptr;
-  const PostingListPtr* slot = table.find(key.value);
-  if (slot == nullptr || *slot == nullptr || (*slot)->empty()) return nullptr;
-  return slot->get();
 }
 
 // Deterministic snapshot order over the location map: keys sorted ascending.
@@ -113,12 +102,16 @@ void EntityResolutionManager::apply(const BindingEvent& event) {
       const EntityId user = interner.users().intern(event.user.value);
       const EntityId host = interner.hosts().intern(event.host.value);
       if (event.retracted) {
-        const bool fwd = posting_erase(identity_.user_to_hosts, user, host, by_host);
-        changed = posting_erase(identity_.host_to_users, host, user, by_user) || fwd;
+        const bool fwd =
+            list_erase(identity_, identity_.user_to_hosts, user, host, by_host);
+        changed =
+            list_erase(identity_, identity_.host_to_users, host, user, by_user) || fwd;
         if (fwd) --user_host_bindings_;
       } else {
-        const bool fwd = posting_insert(identity_.user_to_hosts, user, host, by_host);
-        changed = posting_insert(identity_.host_to_users, host, user, by_user) || fwd;
+        const bool fwd =
+            list_insert(identity_, identity_.user_to_hosts, user, host, by_host);
+        changed =
+            list_insert(identity_, identity_.host_to_users, host, user, by_user) || fwd;
         if (fwd) ++user_host_bindings_;
       }
       break;
@@ -127,12 +120,12 @@ void EntityResolutionManager::apply(const BindingEvent& event) {
       const EntityId host = interner.hosts().intern(event.host.value);
       const EntityId ip = interner.ips().intern(event.ip.value());
       if (event.retracted) {
-        const bool fwd = posting_erase(identity_.host_to_ips, host, ip, by_ip);
-        changed = posting_erase(identity_.ip_to_hosts, ip, host, by_host) || fwd;
+        const bool fwd = list_erase(identity_, identity_.host_to_ips, host, ip, by_ip);
+        changed = list_erase(identity_, identity_.ip_to_hosts, ip, host, by_host) || fwd;
         if (fwd) --host_ip_bindings_;
       } else {
-        const bool fwd = posting_insert(identity_.host_to_ips, host, ip, by_ip);
-        changed = posting_insert(identity_.ip_to_hosts, ip, host, by_host) || fwd;
+        const bool fwd = list_insert(identity_, identity_.host_to_ips, host, ip, by_ip);
+        changed = list_insert(identity_, identity_.ip_to_hosts, ip, host, by_host) || fwd;
         if (fwd) ++host_ip_bindings_;
       }
       break;
@@ -145,22 +138,22 @@ void EntityResolutionManager::apply(const BindingEvent& event) {
       const std::uint64_t packed = event.mac.to_u64() + 1;
       if (event.retracted) {
         if (bound != 0) {
-          identity_.ip_to_mac.mutate(ip.value) = 0;
+          identity_.write(identity_.ip_to_mac, ip, std::uint64_t{0});
           --ip_mac_bindings_;
           changed = true;
         }
-        changed |= posting_erase(identity_.mac_to_ips, mac, ip, by_ip);
+        changed |= list_erase(identity_, identity_.mac_to_ips, mac, ip, by_ip);
       } else {
         // DHCP is authoritative: a lease replaces any prior MAC for the IP.
         if (bound != 0 && bound != packed) {
           const EntityId prev = interner.macs().find(bound - 1);
-          posting_erase(identity_.mac_to_ips, prev, ip, by_ip);
+          list_erase(identity_, identity_.mac_to_ips, prev, ip, by_ip);
           changed = true;
         }
-        changed |= posting_insert(identity_.mac_to_ips, mac, ip, by_ip);
+        changed |= list_insert(identity_, identity_.mac_to_ips, mac, ip, by_ip);
         if (changed) {
           if (bound == 0) ++ip_mac_bindings_;
-          identity_.ip_to_mac.mutate(ip.value) = packed;
+          identity_.write(identity_.ip_to_mac, ip, packed);
         }
       }
       break;
@@ -208,12 +201,10 @@ void EntityResolutionManager::advance_epoch_to(std::uint64_t epoch) {
 ErmSnapshot EntityResolutionManager::snapshot_view() const {
   const auto tables = snapshot_cache_.get([this]() {
     ++stats_.snapshot_rebuilds;
-    // O(changed), not O(total): freeze marks the paged tables shared and
-    // the struct copy is six root pointers plus the interner handle. The
-    // deep work — cloning the pages a future mutation dirties — happens
-    // lazily, per page, on the control thread.
-    identity_.freeze_all();
-    return std::make_shared<const ErmIdentityTables>(identity_);
+    // O(1): a generation bump and a copy of six root pointers plus the
+    // interner handle. Cloning the nodes a later write path-copies happens
+    // lazily, on the control thread.
+    return identity_.publish();
   });
   return ErmSnapshot(tables, epoch_);
 }
@@ -296,9 +287,9 @@ std::vector<Hostname> EntityResolutionManager::hosts_of_user(const Username& use
 std::optional<MacAddress> EntityResolutionManager::mac_of_ip(Ipv4Address ip) const {
   const EntityId id = identity_.interner->ips().find(ip.value());
   if (!id.valid()) return std::nullopt;
-  const std::uint64_t* slot = identity_.ip_to_mac.find(id.value);
-  if (slot == nullptr || *slot == 0) return std::nullopt;
-  return MacAddress::from_u64(*slot - 1);
+  const std::uint64_t* packed = identity_.ip_to_mac.find(id.value);
+  if (packed == nullptr) return std::nullopt;
+  return MacAddress::from_u64(*packed - 1);
 }
 
 std::vector<Ipv4Address> EntityResolutionManager::ips_of_mac(MacAddress mac) const {
@@ -329,13 +320,10 @@ std::vector<BindingEvent> EntityResolutionManager::snapshot() const {
   // Presentation order matches the old ordered-set layout exactly: outer
   // entities ascending by name/address, inner lists already sorted.
   const auto sorted_by_name = [](const StringInterner& names,
-                                 const CowTable<PostingListPtr>& table) {
+                                 const CowRadixMap<PostingListPtr>& table) {
     std::vector<EntityId> ids;
     for (std::uint32_t i = 0; i < names.size(); ++i) {
-      const PostingListPtr* slot = table.find(i);
-      if (slot != nullptr && *slot != nullptr && !(*slot)->empty()) {
-        ids.push_back(EntityId{i});
-      }
+      if (table.find(i) != nullptr) ids.push_back(EntityId{i});
     }
     std::sort(ids.begin(), ids.end(), [&](EntityId a, EntityId b) {
       return names.view(a) < names.view(b);
@@ -364,8 +352,7 @@ std::vector<BindingEvent> EntityResolutionManager::snapshot() const {
   {
     std::vector<EntityId> bound_ips;
     for (std::uint32_t i = 0; i < interner.ips().size(); ++i) {
-      const std::uint64_t* slot = identity_.ip_to_mac.find(i);
-      if (slot != nullptr && *slot != 0) bound_ips.push_back(EntityId{i});
+      if (identity_.ip_to_mac.find(i) != nullptr) bound_ips.push_back(EntityId{i});
     }
     std::sort(bound_ips.begin(), bound_ips.end(), [&](EntityId a, EntityId b) {
       return interner.ips().key(a) < interner.ips().key(b);

@@ -13,8 +13,8 @@
 //
 // Compact entity plane (DESIGN.md §8): every user/host/IP/MAC named in a
 // binding is interned once into a per-kind namespace (common/intern.h) and
-// the identity tables are paged copy-on-write structures keyed by the
-// resulting dense 32-bit ids (core/erm_snapshot.h). Strings exist only at
+// the identity tables are copy-on-write radix trees keyed by the resulting
+// dense 32-bit ids (core/erm_snapshot.h). Strings exist only at
 // the boundaries — sensor events in, enrichment output and persistence
 // text out — so memory per binding and decision latency stay flat as the
 // entity population grows.
@@ -22,9 +22,10 @@
 // Snapshot isolation (DESIGN.md §5): the manager publishes immutable,
 // epoch-stamped ErmSnapshot views on demand. The PCP decision path reads
 // only snapshots; the live tables are mutated exclusively on the control
-// thread. Publication is O(1) — a root-pointer capture — and the next
-// mutation after a publication path-copies only the dirty page, so the
-// per-event publication cost is O(changed), not O(total bindings).
+// thread. Publication is O(1) — a generation bump and a root-pointer copy —
+// and the next mutation after a publication path-copies only the tree
+// nodes above the slots it writes, so the per-event publication cost is
+// O(changed), not O(total bindings).
 #pragma once
 
 #include <optional>
@@ -88,10 +89,9 @@ class EntityResolutionManager {
   // The shared id<->name store; ids are stable for the manager's lifetime.
   const EntityInterner& interner() const { return *identity_.interner; }
 
-  // Aggregate copy-on-write counters of the identity tables — how many
-  // pages/roots mutations had to clone because a published snapshot shared
-  // them. The erm_scale bench reports these to prove publication is
-  // O(changed).
+  // Copy-on-write counters of the identity tables: how many tree nodes
+  // mutations had to clone because a published snapshot shared them. The
+  // erm_scale bench reports these to prove publication is O(changed).
   CowTableStats cow_stats() const { return identity_.cow_stats(); }
 
   // Monotonic version of the binding state, bumped on every applied event
@@ -111,7 +111,7 @@ class EntityResolutionManager {
   std::uint64_t epoch() const { return epoch_; }
 
   // Immutable snapshot of the identity bindings at the current epoch.
-  // O(1): the paged tables are captured by root pointer and marked frozen;
+  // O(1): the tables' generation is bumped and their root pointers copied;
   // later mutations path-copy only what they touch. At most one capture
   // per epoch-bumping mutation, no matter how many decisions run in
   // between; first MAC-location sightings (see epoch()) reuse the cached
@@ -148,18 +148,18 @@ class EntityResolutionManager {
   MessageBus& bus_;
   Subscription subscription_;
 
-  // Live identity bindings: interned, paged copy-on-write tables (see
+  // Live identity bindings: interned, copy-on-write tables (see
   // core/erm_snapshot.h for layout and ordering invariants). Mutated only
   // via apply(); published to the decision path by frozen capture.
-  // `mutable` because publication-from-const (snapshot_view) must mark the
-  // tables frozen — a bookkeeping write, not a logical mutation.
+  // `mutable` because publication-from-const (snapshot_view) must bump the
+  // tables' generation — a bookkeeping write, not a logical mutation.
   mutable ErmIdentityTables identity_;
   // (dpid, mac) -> port. At most one port per MAC per switch; the PCP's
   // location sensor replaces the binding when a MAC legitimately moves.
   // Deliberately outside the snapshot (see core/erm_snapshot.h).
   std::unordered_map<std::pair<Dpid, MacAddress>, PortNo, LocationKeyHash> mac_location_;
 
-  // Incremental binding tallies (binding_count() must not walk the paged
+  // Incremental binding tallies (binding_count() must not walk the
   // tables at million-entity scale).
   std::size_t user_host_bindings_ = 0;
   std::size_t host_ip_bindings_ = 0;

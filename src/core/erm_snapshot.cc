@@ -37,20 +37,12 @@ class ScratchIdBitmap {
   std::vector<std::uint64_t> words_;
 };
 
-const std::vector<EntityId>* list_of(const CowTable<PostingListPtr>& table,
-                                     EntityId id) {
-  const PostingListPtr* slot = table.find(id.value);
-  if (slot == nullptr || *slot == nullptr || (*slot)->empty()) return nullptr;
-  return slot->get();
-}
-
 }  // namespace
 
 EndpointView ErmIdentityTables::enrich(EndpointView view) const {
   if (!view.ip.has_value()) return view;
-  const EntityId ip = ip_lookup.find(view.ip->value());
-  if (!ip.valid()) return view;
-  const std::vector<EntityId>* hosts = list_of(ip_to_hosts, ip);
+  const std::vector<EntityId>* hosts =
+      list_of(ip_to_hosts, ip_lookup.find(view.ip->value()));
   if (hosts == nullptr) return view;
 
   const StringInterner& host_names = interner->hosts();
@@ -103,9 +95,8 @@ SpoofCheck ErmIdentityTables::validate_identity(
   if (ip.has_value() && mac.has_value()) {
     const EntityId ip_id = ip_lookup.find(ip->value());
     if (ip_id.valid()) {
-      const std::uint64_t* slot = ip_to_mac.find(ip_id.value);
-      if (slot != nullptr && *slot != 0) {
-        const MacAddress bound = MacAddress::from_u64(*slot - 1);
+      if (const std::uint64_t* packed = ip_to_mac.find(ip_id.value)) {
+        const MacAddress bound = MacAddress::from_u64(*packed - 1);
         if (bound != *mac) {
           return {true, "IP " + ip->to_string() + " is bound to MAC " +
                             bound.to_string() + ", not " + mac->to_string()};

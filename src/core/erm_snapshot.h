@@ -8,14 +8,16 @@
 //
 // Compact entity plane (DESIGN.md §8): the binding tables are keyed on
 // dense interned `EntityId`s (common/intern.h), not heap strings. Each
-// table is a paged copy-on-write structure (common/cow_table.h) whose
-// posting lists hold packed 32-bit ids sorted in the *presentation* order
-// of the entities they name (lexicographic for users/hosts, numeric for
-// IPs), so enrichment output is byte-identical to the old ordered-set
-// layout without sorting on the hot path. Publishing a snapshot is a
-// root-pointer capture — O(1) — and the next mutation path-copies only the
-// dirty page: one binding event at a million bindings costs the same as
-// one binding event at ten thousand.
+// table is a copy-on-write radix tree (CowRadixMap, common/cow_table.h)
+// whose posting lists hold packed 32-bit ids sorted in the *presentation*
+// order of the entities they name (lexicographic for users/hosts, numeric
+// for IPs), so enrichment output is byte-identical to the old ordered-set
+// layout without sorting on the hot path. The six tables share one
+// generation counter, as the policy index's maps do: publishing a snapshot
+// bumps it and copies six root pointers — O(1) — and the next mutation
+// path-copies only the 32-slot nodes above the slot it writes, one per
+// tree level: one binding event at a million bindings costs about the same
+// as one at ten thousand.
 //
 // The snapshot covers the *identity* bindings (user<->host, host<->IP,
 // IP<->MAC). The MAC<->(switch,port) location binding is deliberately NOT
@@ -44,14 +46,25 @@ struct SpoofCheck {
   std::string reason;
 };
 
-// One immutable, packed posting list of entity ids. Slots in the paged
-// tables hold shared pointers to these; mutation replaces the pointer with
-// a freshly built list, so published snapshots keep reading the old one.
+// One immutable, packed posting list of entity ids, never empty. Table
+// slots hold shared pointers to these; mutation replaces the pointer with a
+// freshly built list, so published snapshots keep reading the old one.
 using PostingListPtr = std::shared_ptr<const std::vector<EntityId>>;
+
+// The posting list under `id` in `table`, or nullptr when there is none
+// (an invalid id included).
+inline const std::vector<EntityId>* list_of(const CowRadixMap<PostingListPtr>& table,
+                                            EntityId id) {
+  if (!id.valid()) return nullptr;
+  const PostingListPtr* list = table.find(id.value);
+  return list == nullptr ? nullptr : list->get();
+}
 
 // The identity-binding tables, shared structurally between the live ERM
 // (which path-copies on mutation) and published snapshots (frozen). Pure
-// queries live here so live and snapshot paths cannot drift apart.
+// queries live here so live and snapshot paths cannot drift apart. Each
+// table is keyed by the id of the entity it maps from; an absent key has no
+// binding (an empty list or an unbound IP is never stored).
 struct ErmIdentityTables {
   ErmIdentityTables()
       : interner(std::make_shared<EntityInterner>()),
@@ -65,17 +78,18 @@ struct ErmIdentityTables {
   ValueInterner::Reader ip_lookup;
 
   // user id -> host ids, sorted by hostname.
-  CowTable<PostingListPtr> user_to_hosts;
+  CowRadixMap<PostingListPtr> user_to_hosts;
   // host id -> user ids, sorted by username.
-  CowTable<PostingListPtr> host_to_users;
+  CowRadixMap<PostingListPtr> host_to_users;
   // host id -> ip ids, sorted by address value.
-  CowTable<PostingListPtr> host_to_ips;
+  CowRadixMap<PostingListPtr> host_to_ips;
   // ip id -> host ids, sorted by hostname.
-  CowTable<PostingListPtr> ip_to_hosts;
-  // ip id -> MAC (DHCP: one MAC per IP), packed as to_u64()+1; 0 = unbound.
-  CowTable<std::uint64_t> ip_to_mac;
+  CowRadixMap<PostingListPtr> ip_to_hosts;
+  // ip id -> MAC (DHCP: one MAC per IP), packed as to_u64()+1 so that an
+  // unbound IP (0) is an empty slot.
+  CowRadixMap<std::uint64_t> ip_to_mac;
   // mac id -> ip ids, sorted by address value.
-  CowTable<PostingListPtr> mac_to_ips;
+  CowRadixMap<PostingListPtr> mac_to_ips;
 
   // Enrich the low-level identifiers of one endpoint: the input plus all
   // hostnames bound to the IP and all usernames bound to those hostnames,
@@ -87,28 +101,31 @@ struct ErmIdentityTables {
   SpoofCheck validate_identity(const std::optional<MacAddress>& mac,
                                const std::optional<Ipv4Address>& ip) const;
 
-  // Writer only: mark every page as shared by a published snapshot, so the
-  // next mutation of each path-copies it (common/cow_table.h).
-  void freeze_all() {
-    user_to_hosts.freeze();
-    host_to_users.freeze();
-    host_to_ips.freeze();
-    ip_to_hosts.freeze();
-    ip_to_mac.freeze();
-    mac_to_ips.freeze();
+  // Writer only: store `value` under `id` in `table`, one of the six
+  // above, path-copying what a published snapshot shares; an empty value
+  // erases the id.
+  template <typename V>
+  void write(CowRadixMap<V>& table, EntityId id, V value) {
+    if (value) {
+      table.assign(id.value, std::move(value), generation_, cow_stats_);
+    } else {
+      table.erase(id.value, generation_, cow_stats_);
+    }
   }
 
-  // Aggregate copy-on-write cost counters across all six tables.
-  CowTableStats cow_stats() const {
-    CowTableStats total;
-    for (const CowTableStats* s :
-         {&user_to_hosts.stats(), &host_to_users.stats(), &host_to_ips.stats(),
-          &ip_to_hosts.stats(), &ip_to_mac.stats(), &mac_to_ips.stats()}) {
-      total.page_copies += s->page_copies;
-      total.root_copies += s->root_copies;
-    }
-    return total;
+  // Writer only: mark every node as shared and return an O(1) frozen copy
+  // for a snapshot. The next write clones the nodes on its path.
+  std::shared_ptr<const ErmIdentityTables> publish() {
+    ++generation_;
+    return std::make_shared<const ErmIdentityTables>(*this);
   }
+
+  // Tree nodes writes cloned because a published snapshot shared them.
+  const CowTableStats& cow_stats() const { return cow_stats_; }
+
+ private:
+  std::uint64_t generation_ = 0;
+  CowTableStats cow_stats_;
 };
 
 // One immutable, epoch-stamped view of the identity bindings. Cheap to

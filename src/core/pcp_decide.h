@@ -75,11 +75,6 @@ struct PcpConfig {
   // times regardless, so calibrated latency/throughput shapes (Table I,
   // Fig. 4) are unchanged.
   std::size_t decision_cache_capacity = 8192;
-
-  // kThreads only: pin each shard's worker to core (shard mod
-  // hw_concurrency). Off by default — pinning helps steady-state
-  // throughput benches but hurts oversubscribed CI machines.
-  bool pin_workers = false;
 };
 
 // Outcome of one access-control decision.

@@ -193,7 +193,6 @@ class PcpShardPool {
   const PcpBackend backend_;
   const std::size_t shards_;
   const std::size_t queue_capacity_;
-  const bool pin_workers_;
 
   // kThreads: workers + the submission-order reorder buffer.
   std::vector<std::unique_ptr<ThreadShard>> thread_shards_;

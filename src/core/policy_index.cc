@@ -268,7 +268,7 @@ void PolicyRuleIndex::insert(StoredPolicyRule stored) {
   const RuleKey key = key_of(rule->rule);
   const StoredPolicyRule* raw = rule.get();
   Root& root = cow_write(root_, generation_, cow_stats_.root_copies);
-  root.rules.insert(raw->id.value, std::move(rule), generation_, cow_stats_);
+  root.rules.assign(raw->id.value, std::move(rule), generation_, cow_stats_);
 
   auto it = std::find_if(root.subtables.begin(), root.subtables.end(),
                          [&](const auto& table) { return table->mask == key.mask; });

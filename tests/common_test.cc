@@ -244,12 +244,17 @@ TEST(FrameBufferPool, MaxFreeBoundsRetainedSlab) {
   EXPECT_EQ(pool.stats().releases, 5u);
 }
 
-// Copy-on-write maps against std::map oracles. Random inserts and erases
+// Copy-on-write maps against std::map oracles. Random writes and erases
 // over enough keys to split and fold trie nodes and to empty radix leaves;
-// copies taken after a generation bump (a publication) are held and must
-// keep their contents through every later write to the live map.
+// a write to a present key replaces its value. Copies taken after a
+// generation bump (a publication) are held and must keep their contents
+// through every later write to the live map. Sparse keys are spread over
+// all 64 bits by a multiplier; dense keys are the ids 0..key_space, drawn
+// from a range that grows with the step as an interner issues them, so the
+// tree grows in height while copies are held.
 template <typename Map, typename Write>
-void run_cow_map_oracle(std::uint64_t seed, std::int64_t key_space, Write write) {
+void run_cow_map_oracle(std::uint64_t seed, std::int64_t key_space, bool dense,
+                        Write write) {
   using Model = std::map<std::uint64_t, int>;
   Rng rng(seed);
   Map live;
@@ -257,9 +262,12 @@ void run_cow_map_oracle(std::uint64_t seed, std::int64_t key_space, Write write)
   std::vector<std::pair<Map, Model>> held;
   std::uint64_t generation = 0;
   CowTableStats stats;
+  const auto key_of = [dense](std::int64_t k) {
+    return static_cast<std::uint64_t>(k) * (dense ? 1 : 0x9e3779b97f4a7c15ull);
+  };
   const auto check = [&](const Map& map, const Model& expect) {
     for (std::int64_t k = 0; k <= key_space; ++k) {
-      const std::uint64_t key = static_cast<std::uint64_t>(k) * 0x9e3779b97f4a7c15ull;
+      const std::uint64_t key = key_of(k);
       const auto* found = map.find(key);
       const auto it = expect.find(key);
       ASSERT_EQ(found != nullptr, it != expect.end()) << "key " << k;
@@ -270,12 +278,18 @@ void run_cow_map_oracle(std::uint64_t seed, std::int64_t key_space, Write write)
     std::size_t visited = 0;
     map.for_each([&](const auto&) { ++visited; });
     EXPECT_EQ(visited, expect.size());
+    if constexpr (requires { map.size(); }) {
+      EXPECT_EQ(map.size(), expect.size());
+    }
   };
+  std::uint64_t replaced = 0;
   for (int step = 0; step < 3000; ++step) {
-    const std::uint64_t key =
-        static_cast<std::uint64_t>(rng.uniform_int(0, key_space)) * 0x9e3779b97f4a7c15ull;
-    if (rng.chance(0.55) && model.count(key) == 0) {
+    const std::int64_t issued =
+        dense ? std::min<std::int64_t>(key_space, step / 2) : key_space;
+    const std::uint64_t key = key_of(rng.uniform_int(0, issued));
+    if (rng.chance(0.55)) {
       write(live, key, step, generation, stats);
+      replaced += model.count(key);
       model[key] = step;
     } else {
       EXPECT_EQ(live.erase(key, generation, stats), model.erase(key) == 1);
@@ -290,25 +304,36 @@ void run_cow_map_oracle(std::uint64_t seed, std::int64_t key_space, Write write)
       for (const auto& [map, expect] : held) check(map, expect);
     }
   }
+  EXPECT_GT(replaced, 0u);
   EXPECT_GT(stats.page_copies, 0u);
 }
 
 TEST(CowHashMap, HeldCopiesKeepTheirContentsUnderChurn) {
   run_cow_map_oracle<CowHashMap<std::shared_ptr<int>>>(
-      11, 1500, [](auto& map, std::uint64_t key, int value, std::uint64_t generation,
-                   CowTableStats& stats) {
+      11, 1500, /*dense=*/false,
+      [](auto& map, std::uint64_t key, int value, std::uint64_t generation,
+         CowTableStats& stats) {
         map.mutate(key, generation, stats) = std::make_shared<int>(value);
       });
 }
 
+const auto radix_assign = [](auto& map, std::uint64_t key, int value,
+                             std::uint64_t generation, CowTableStats& stats) {
+  map.assign(key, std::make_shared<int>(value), generation, stats);
+};
+
 TEST(CowRadixMap, HeldCopiesKeepTheirContentsUnderChurn) {
-  // Keys as issued ids: the multiplier above wraps them over the full 64
-  // bits, so the tree reaches its full height too.
-  run_cow_map_oracle<CowRadixMap<std::shared_ptr<int>>>(
-      12, 1500, [](auto& map, std::uint64_t key, int value, std::uint64_t generation,
-                   CowTableStats& stats) {
-        map.insert(key, std::make_shared<int>(value), generation, stats);
-      });
+  // The multiplier wraps the keys over the full 64 bits, so the tree
+  // reaches its full height too.
+  run_cow_map_oracle<CowRadixMap<std::shared_ptr<int>>>(12, 1500, /*dense=*/false,
+                                                        radix_assign);
+}
+
+TEST(CowRadixMap, DenseAscendingIdsKeepHeldContentsUnderChurn) {
+  // The ERM's key pattern: entity ids, issued densely from 0 upward. 1500
+  // ids need two inner levels, so held copies see the root grow.
+  run_cow_map_oracle<CowRadixMap<std::shared_ptr<int>>>(13, 1500, /*dense=*/true,
+                                                        radix_assign);
 }
 
 }  // namespace

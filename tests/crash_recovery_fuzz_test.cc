@@ -192,8 +192,8 @@ bool state_equal(const Plane& a, const Plane& b) {
   return describe_mismatch(a, b).empty();
 }
 
-// Interned-state oracle: a recovered ERM rebuilt its interner and paged
-// tables from WAL text, so every binding its canonical export names must
+// Interned-state oracle: a recovered ERM rebuilt its interner and
+// copy-on-write tables from WAL text, so every binding its canonical export names must
 // resolve through the interned lookup path and answer identically via the
 // live query APIs. Catches recovery bugs where the text state is right but
 // the id-keyed tables (or the interner itself) diverged.

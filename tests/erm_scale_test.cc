@@ -85,10 +85,18 @@ TEST_F(ErmScaleTest, SpoofValidationAtScale) {
   }
 }
 
+// Inner levels of a CowRadixMap holding the ids below `ids`: a root at
+// height h covers the ids below 32^(h + 1), and a non-empty tree has one.
+std::uint64_t radix_height(std::uint64_t ids) {
+  std::uint64_t height = 1;
+  for (std::uint64_t covered = 32 * 32; covered < ids; covered *= 32) ++height;
+  return height;
+}
+
 TEST_F(ErmScaleTest, IncrementalPublicationIsOChanged) {
   // Hold one snapshot of the loaded state, then run a churn storm with a
-  // publication after every event. Each publish may clone at most the few
-  // pages the event dirtied — never a table-sized amount.
+  // publication after every event. Each publish clones exactly the tree
+  // paths the event wrote — never a table-sized amount.
   (void)erm_->snapshot_view();
   const std::uint64_t pages_at_load = erm_->cow_stats().page_copies;
 
@@ -100,10 +108,14 @@ TEST_F(ErmScaleTest, IncrementalPublicationIsOChanged) {
     ++applied;
   });
   const std::uint64_t pages_churn = erm_->cow_stats().page_copies - pages_at_load;
-  // Each user-host event touches 2 tables; with posting-list slots spread
-  // across pages, a handful of clones per publish is the ceiling. 8x is
-  // generous; O(total) would be thousands of times larger at scale.
-  EXPECT_LE(pages_churn, std::uint64_t{applied} * 8);
+  // Each user-host event rewrites one posting list in user_to_hosts (keyed
+  // by user ids) and one in host_to_users (keyed by host ids), cloning one
+  // node per level of each: 6 nodes up to 32k ids, 8 up to 1M. O(total)
+  // would be thousands of times larger at scale.
+  const EntityInterner& interner = erm_->interner();
+  const std::uint64_t path_nodes = radix_height(interner.users().size()) + 1 +
+                                   radix_height(interner.hosts().size()) + 1;
+  EXPECT_EQ(pages_churn, std::uint64_t{applied} * path_nodes);
   EXPECT_GT(applied, 0u);
 }
 

@@ -2,6 +2,12 @@
 // enrichment (late binding), and spoof validation.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <mutex>
+#include <thread>
+#include <vector>
+
 #include "bus/message_bus.h"
 #include "core/entity_resolution.h"
 #include "core/persistence.h"
@@ -10,6 +16,7 @@
 #include "services/sensors.h"
 #include "services/siem.h"
 #include "sim/simulator.h"
+#include "testbed/scale_generator.h"
 
 namespace dfi {
 namespace {
@@ -354,10 +361,19 @@ TEST_F(ErmTest, HeldSnapshotImmutableUnderMutation) {
                    .spoofed);
 }
 
+// Inner levels of a CowRadixMap holding the ids below `ids`: a root at
+// height h covers the ids below 32^(h + 1), and a non-empty tree has one.
+std::uint64_t radix_height(std::uint64_t ids) {
+  std::uint64_t height = 1;
+  for (std::uint64_t covered = 32 * 32; covered < ids; covered *= 32) ++height;
+  return height;
+}
+
 TEST_F(ErmTest, IncrementalPublicationSharesUntouchedPages) {
-  // Load enough hosts to span several copy-on-write pages, publish, then
-  // mutate one binding: only the dirty pages may be cloned.
-  constexpr std::uint32_t kHosts = 4096;  // 8 pages of 512 slots
+  // Load enough hosts for two-level trees, publish, then retract one
+  // binding: each of the two tables it touches clones exactly the nodes on
+  // the path to its slot, one per level, and shares every other node.
+  constexpr std::uint32_t kHosts = 4096;
   for (std::uint32_t h = 0; h < kHosts; ++h) {
     erm_.apply(host_ip(("host" + std::to_string(h)).c_str(),
                        Ipv4Address(0x0a000000u + h)));
@@ -368,10 +384,35 @@ TEST_F(ErmTest, IncrementalPublicationSharesUntouchedPages) {
   erm_.apply(host_ip("host7", Ipv4Address(0x0a000007u), /*retract=*/true));
   (void)erm_.snapshot_view();
   const CowTableStats after = erm_.cow_stats();
-  // One host-ip retraction touches two tables; each clones at most the one
-  // page holding the dirty slot (plus its root vector).
-  EXPECT_LE(after.page_copies - at_publish.page_copies, 2u);
-  EXPECT_LE(after.root_copies - at_publish.root_copies, 2u);
+  // host_to_ips and ip_to_hosts, each keyed by ids below kHosts: two inner
+  // levels and a leaf per path.
+  ASSERT_EQ(radix_height(kHosts), 2u);
+  EXPECT_EQ(after.page_copies - at_publish.page_copies, 2 * (radix_height(kHosts) + 1));
+  EXPECT_EQ(after.root_copies, at_publish.root_copies);
+}
+
+TEST_F(ErmTest, UserHostWriteAfterPublishClonesOnePathPerTable) {
+  // A log-on between two publications: user1 logs on to a host another
+  // user holds, so both posting lists are present and each is replaced.
+  constexpr std::uint32_t kUsers = 2000;
+  for (std::uint32_t u = 0; u < kUsers; ++u) {
+    erm_.apply(user_host(("user" + std::to_string(u)).c_str(),
+                         ("host" + std::to_string(u)).c_str()));
+  }
+  (void)erm_.snapshot_view();
+  const std::uint64_t at_publish = erm_.cow_stats().page_copies;
+
+  erm_.apply(user_host("user1", "host1500"));
+  const std::uint64_t one_write = erm_.cow_stats().page_copies - at_publish;
+  // user_to_hosts and host_to_users, each keyed by ids below kUsers.
+  EXPECT_EQ(one_write, 2 * (radix_height(kUsers) + 1));
+  // Until the next publication the cloned nodes are private: a second
+  // write along the same paths (user2 shares user1's leaf) clones nothing.
+  erm_.apply(user_host("user2", "host1500"));
+  EXPECT_EQ(erm_.cow_stats().page_copies - at_publish, one_write);
+  EXPECT_EQ(erm_.users_of_host(Hostname{"host1500"}),
+            (std::vector<Username>{Username{"user1"}, Username{"user1500"},
+                                   Username{"user2"}}));
 }
 
 TEST_F(ErmTest, RedundantEventCausesNoPageCopies) {
@@ -384,6 +425,123 @@ TEST_F(ErmTest, RedundantEventCausesNoPageCopies) {
   erm_.apply(user_host("alice", "h1"));
   EXPECT_EQ(erm_.epoch(), epoch);
   EXPECT_EQ(erm_.cow_stats().page_copies, before.page_copies);
+}
+
+// The ERM counterpart of PolicyIndexTest.ConcurrentReadersQueryFrozen-
+// SnapshotsWhileWriterPublishes: reader threads enrich and validate against
+// held and fresh snapshots while the control thread applies logon storms
+// and DHCP rollovers and republishes. 1000 hosts put the host and user
+// tables two levels deep, and the rollovers intern alternate-lease IPs past
+// id 1023, so the IP tables grow a level (and the IP interner rehashes)
+// while readers hold snapshots of the shallower trees. Every answer must
+// equal what the live ERM gave at that snapshot's publication; under TSan
+// this is the race check for the shared copy-on-write tables and the
+// interner reads behind them.
+TEST_F(ErmTest, ConcurrentReadersEnrichFrozenSnapshotsWhileWriterPublishes) {
+  ScaleConfig config;
+  config.hosts = 1000;
+  const ScaleGenerator gen(config);
+  gen.emit_initial_bindings([this](const BindingEvent& event) { erm_.apply(event); });
+
+  struct Probe {
+    Ipv4Address ip;
+    MacAddress mac;
+  };
+  std::vector<Probe> probes;
+  const auto add_probes = [&probes](Ipv4Address ip, MacAddress mac) {
+    probes.push_back({ip, mac});
+    probes.push_back({ip, MacAddress::from_u64(mac.to_u64() ^ 1)});  // spoofed
+  };
+  for (std::uint32_t h = 0; h < config.hosts; h += 41) {
+    add_probes(gen.ip_of(h), gen.mac_of(h));
+  }
+
+  // The writer's script, fixed before any reader starts: batches of logon
+  // storms and of DHCP rollovers (a block of hosts to its alternate leases,
+  // then back), each followed by a publication.
+  std::vector<std::vector<BindingEvent>> batches;
+  for (std::uint32_t r = 0; r < 60; ++r) {
+    const auto sink = [&batches](const BindingEvent& event) {
+      batches.back().push_back(event);
+    };
+    batches.emplace_back();
+    gen.emit_logon_storm((r * 37) % config.hosts, 8, 1 + r % 3, sink);
+    batches.emplace_back();
+    gen.emit_dhcp_rollover(((r / 2) * 53) % config.hosts, 16, r % 2 == 0, sink);
+    for (const BindingEvent& event : batches.back()) {
+      if (event.kind == BindingKind::kIpMac && !event.retracted && r % 8 == 0) {
+        add_probes(event.ip, event.mac);
+      }
+    }
+  }
+
+  struct Published {
+    ErmSnapshot snapshot;
+    std::vector<EndpointView> enriched;
+    std::vector<SpoofCheck> validated;
+  };
+  const auto enrich = [](const auto& erm, Ipv4Address ip) {
+    EndpointView view;
+    view.ip = ip;
+    return erm.enrich(std::move(view));
+  };
+  std::mutex mutex;
+  std::shared_ptr<const Published> current;
+  const auto publish = [&] {
+    auto published = std::make_shared<Published>();
+    published->snapshot = erm_.snapshot_view();
+    for (const Probe& probe : probes) {
+      published->enriched.push_back(enrich(erm_, probe.ip));
+      published->validated.push_back(
+          erm_.validate(probe.mac, probe.ip, std::nullopt, std::nullopt));
+    }
+    const std::lock_guard<std::mutex> lock(mutex);
+    current = std::move(published);
+  };
+  const auto latest = [&] {
+    const std::lock_guard<std::mutex> lock(mutex);
+    return current;
+  };
+  publish();
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> checks{0};
+  std::atomic<std::uint64_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      std::shared_ptr<const Published> held = latest();
+      for (std::uint64_t pass = 0; !stop.load(std::memory_order_relaxed); ++pass) {
+        const std::shared_ptr<const Published> fresh = latest();
+        for (const Published* p : {held.get(), fresh.get()}) {
+          for (std::size_t i = 0; i < probes.size(); ++i) {
+            const EndpointView got = enrich(p->snapshot, probes[i].ip);
+            const SpoofCheck check =
+                p->snapshot.validate_identity(probes[i].mac, probes[i].ip);
+            const EndpointView& want = p->enriched[i];
+            if (got.hostnames != want.hostnames || got.usernames != want.usernames ||
+                check.spoofed != p->validated[i].spoofed ||
+                check.reason != p->validated[i].reason) {
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
+            checks.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        if ((pass + static_cast<std::uint64_t>(r)) % 8 == 0) held = fresh;
+      }
+    });
+  }
+
+  for (const std::vector<BindingEvent>& batch : batches) {
+    for (const BindingEvent& event : batch) erm_.apply(event);
+    publish();
+  }
+  while (checks.load() < 3000) std::this_thread::yield();
+  stop = true;
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  // The script did grow the IP tables past one level.
+  EXPECT_GT(erm_.interner().ips().size(), 1024u);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #          a ClockFn (common/sim_time.h); only the composition root
 #          (core/dfi_system.cc) and the simulated testbed's time-of-day PDP
 #          (core/pdps/time_of_day.{h,cc}) reach the simulator. Then
-#          configure + build + full ctest suite (the 612 tier-1 tests),
+#          configure + build + full ctest suite (the 613 tier-1 tests),
 #          then the proxy-datapath, scale-out, entity-plane, socket-
 #          datapath and failover benches in smoke mode, each gated against
 #          its committed baseline under bench/baselines/. Every bench gate
@@ -16,8 +16,8 @@
 #   asan   ASan+UBSan build (-DDFI_SANITIZE=ON) of the memory-sensitive
 #          component tests — including the proxy teardown regressions
 #   tsan   TSan build (-DDFI_SANITIZE=thread) of the SPSC ring stress, the
-#          threaded shard-pool and bus tests, and the policy index's
-#          concurrent snapshot readers
+#          threaded shard-pool and bus tests, and the policy index's and
+#          the ERM's concurrent snapshot readers
 #   fuzz   the model-based invariant fuzz campaign (tests/support/
 #          fuzz_harness.cc): the full deterministic campaign on the plain
 #          build, plus bounded campaigns under ASan+UBSan and TSan.
@@ -176,7 +176,7 @@ if want tsan; then
   cmake -B build-tsan -S . -DDFI_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "${JOBS}" --target spsc_ring_test \
     shard_pool_test bus_test proxy_test intern_test \
-    event_loop_test conman_test policy_index_test
+    event_loop_test conman_test policy_index_test erm_test
 
   echo "== sanitizer tests (TSan) =="
   ./build-tsan/tests/intern_test
@@ -192,6 +192,10 @@ if want tsan; then
   # Copy-on-write policy index: reader threads query published snapshots
   # while the control thread writes the same bucket and republishes.
   ./build-tsan/tests/policy_index_test
+  # Copy-on-write ERM tables: reader threads enrich and validate against
+  # published snapshots while the control thread applies logon storms and
+  # DHCP rollovers that clone multi-level paths and grow the trees.
+  ./build-tsan/tests/erm_test
 fi
 
 if want fuzz; then
