@@ -219,8 +219,7 @@ BatchPoint run_threaded_batch_point(std::size_t shards, std::size_t batch,
     items.resize(n);
     const Clock::time_point burst_at = Clock::now();
     for (std::size_t i = 0; i < n; ++i) {
-      items[i].dpid = Dpid{1};
-      items[i].msg = tuples[next_tuple++ % kTuples];
+      items[i].input = make_decision_input(Dpid{1}, tuples[next_tuple++ % kTuples]);
       items[i].done = [&sojourn_ms, burst_at](const PcpDecision&) {
         sojourn_ms.add(std::chrono::duration<double, std::milli>(Clock::now() -
                                                                  burst_at)

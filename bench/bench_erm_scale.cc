@@ -24,6 +24,10 @@
 //                          the next decision can run (the copy-on-write
 //                          policy index, DESIGN.md §8).
 //
+// Every throughput figure is the best of 7 rounds, with the points' rounds
+// interleaved, so a drift in the host's speed between a quiet and a slower
+// state slows every point alike instead of whichever point it falls on.
+//
 // Gates (the acceptance criteria, enforced in-process):
 //   * decisions/s at the largest point >= half the smallest point (latency
 //     stays within 2x from 10k to 1M entities);
@@ -33,9 +37,9 @@
 //     smallest (a rebuild per publication grows linearly instead);
 //   * policy queries/s at the largest rule count >= half the next smaller
 //     point's (a query that scans a list growing with the rules fails it);
-//   * at every entity point, the nodes cloned over the binding publishes
-//     == the nodes on their writes' tree paths, exactly (a count, so host
-//     speed cannot move it);
+//   * at every entity point, the nodes cloned over each round's binding
+//     publishes == the nodes on their writes' tree paths, exactly (a
+//     count, so host speed cannot move it);
 // plus committed per-point floors via --check-baseline.
 //
 // Usage:
@@ -73,6 +77,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Timed rounds per throughput figure; each figure keeps its best round.
+constexpr int kRounds = 7;
+
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -89,6 +96,19 @@ std::size_t rss_bytes() {
   return 0;
 }
 
+// What an entity point's timed rounds reuse: the loaded ERM and rules, and
+// the Packet-ins with the snapshot pair they are decided on.
+struct EntityWorld {
+  explicit EntityWorld(const ScaleConfig& config) : gen(config), erm(bus), manager(bus) {}
+
+  ScaleGenerator gen;
+  MessageBus bus;
+  EntityResolutionManager erm;
+  PolicyManager manager;
+  std::vector<DecisionInput> inputs;
+  DecisionSnapshots snapshots;
+};
+
 struct ScalePoint {
   std::string name;
   std::uint32_t hosts = 0;
@@ -98,9 +118,12 @@ struct ScalePoint {
   double decisions_per_sec = 0;
   double publish_per_sec = 0;
   double rss_per_binding_bytes = 0;
+  // Nodes cloned by one round's publishes; a round that differs from the
+  // expected count is the one recorded.
   std::uint64_t cow_page_copies = 0;
-  std::uint64_t publishes = 0;
+  std::uint64_t publishes = 0;        // per round
   std::uint64_t expected_clones = 0;  // what cow_page_copies must read
+  std::unique_ptr<EntityWorld> world;
 };
 
 // Nodes on one write's path through a CowRadixMap holding the ids below
@@ -127,10 +150,11 @@ std::uint64_t nodes_freed(const CowRadixMap<PostingListPtr>& table, EntityId key
   }
 }
 
-ScalePoint run_point(std::uint32_t hosts, std::uint32_t rules, bool smoke) {
+// Load one entity point and build what time_entity_points times. The
+// point stays loaded until every point's rounds are done.
+ScalePoint load_point(std::uint32_t hosts, std::uint32_t rules, bool smoke) {
   ScaleConfig config;
   config.hosts = hosts;
-  ScaleGenerator gen(config);
 
   ScalePoint point;
   point.name = "h" + std::to_string(hosts);
@@ -138,9 +162,11 @@ ScalePoint run_point(std::uint32_t hosts, std::uint32_t rules, bool smoke) {
   point.entities = std::size_t{hosts} * 4;
 
   const std::size_t rss_before = rss_bytes();
-  MessageBus bus;
-  EntityResolutionManager erm(bus);
-  PolicyManager manager(bus);
+  point.world = std::make_unique<EntityWorld>(config);
+  EntityWorld& world = *point.world;
+  const ScaleGenerator& gen = world.gen;
+  EntityResolutionManager& erm = world.erm;
+  PolicyManager& manager = world.manager;
 
   // ------------------------------------------------------------- load
   const Clock::time_point load_start = Clock::now();
@@ -177,7 +203,7 @@ ScalePoint run_point(std::uint32_t hosts, std::uint32_t rules, bool smoke) {
   // artifact, not an entity-plane cost.
   const std::vector<std::uint32_t> targets = gen.rule_targets(rules);
   constexpr std::size_t kTuples = 512;
-  std::vector<DecisionInput> inputs;
+  std::vector<DecisionInput>& inputs = world.inputs;
   inputs.reserve(kTuples);
   const std::uint32_t top_level = rules / kPriorityLevels;  // level-8 rules
   for (std::size_t i = 0; i < kTuples; ++i) {
@@ -202,22 +228,7 @@ ScalePoint run_point(std::uint32_t hosts, std::uint32_t rules, bool smoke) {
     input.prior_src_location = gen.port_of(src);
     inputs.push_back(std::move(input));
   }
-
-  PcpConfig pcp_config;
-  pcp_config.decision_cache_capacity = 0;
-  DecisionCache<PcpDecision> cache(0);
-  const DecisionSnapshots snapshots{erm.snapshot_view(), manager.snapshot_view()};
-
-  const std::size_t decisions = smoke ? 20000 : 100000;
-  const Clock::time_point decide_start = Clock::now();
-  std::size_t allowed = 0;
-  for (std::size_t i = 0; i < decisions; ++i) {
-    const DecisionEffects effects =
-        decide_on_snapshots(inputs[i % kTuples], snapshots, cache, pcp_config);
-    allowed += effects.decision.allow ? 1 : 0;
-  }
-  point.decisions_per_sec =
-      static_cast<double>(decisions) / seconds_since(decide_start);
+  world.snapshots = DecisionSnapshots{erm.snapshot_view(), manager.snapshot_view()};
 
   // --------------------------------------------- incremental publication
   // One binding event, one publication, repeatedly: the cost under test is
@@ -229,7 +240,8 @@ ScalePoint run_point(std::uint32_t hosts, std::uint32_t rules, bool smoke) {
   // (keyed by user ids) and of host_to_users (keyed by host ids). A
   // retraction that empties a key alone under a node frees the node, and
   // the assertion after it creates the node instead of cloning it. Every
-  // retract/assert pair starts from the loaded state.
+  // retract/assert pair starts from the loaded state, and so does every
+  // round (it makes an even number of writes).
   point.publishes = publishes;
   {
     const ErmSnapshot loaded = erm.snapshot_view();
@@ -244,32 +256,80 @@ ScalePoint run_point(std::uint32_t hosts, std::uint32_t rules, bool smoke) {
                                            names.hosts().find(gen.host_name(h)));
     }
   }
-  const std::uint64_t cow_before = erm.cow_stats().page_copies;
-  const Clock::time_point publish_start = Clock::now();
-  for (std::size_t i = 0; i < publishes; ++i) {
-    BindingEvent event;
-    event.kind = BindingKind::kUserHost;
-    event.retracted = (i % 2 == 0);
-    const std::uint32_t h = static_cast<std::uint32_t>((i / 2) % hosts);
-    event.user = Username{gen.user_name(h)};
-    event.host = Hostname{gen.host_name(h)};
-    erm.apply(event);
-    const ErmSnapshot snap = erm.snapshot_view();
-    if (snap.epoch() == 0) std::abort();  // keep the loop un-elidable
-  }
-  point.publish_per_sec =
-      static_cast<double>(publishes) / seconds_since(publish_start);
-  point.cow_page_copies = erm.cow_stats().page_copies - cow_before;
-
-  std::printf(
-      "%-8s %9zu entities %9zu bindings  load %6.2fs  %9.0f decisions/s "
-      "(%zu allowed)  %8.0f publishes/s  %5.0f B/binding  %llu nodes cloned\n",
-      point.name.c_str(), point.entities, point.bindings, point.load_s,
-      point.decisions_per_sec, allowed, point.publish_per_sec,
-      point.rss_per_binding_bytes,
-      static_cast<unsigned long long>(point.cow_page_copies));
+  point.cow_page_copies = point.expected_clones;
   return point;
 }
+
+// Decision and incremental-publication throughput per entity point, the
+// best of kRounds interleaved rounds; every round's publishes must clone
+// exactly the expected nodes.
+void time_entity_points(std::vector<ScalePoint>& points, bool smoke) {
+  PcpConfig pcp_config;
+  pcp_config.decision_cache_capacity = 0;
+  DecisionCache<PcpDecision> cache(0);
+  const std::size_t decisions = smoke ? 20000 : 100000;
+  std::vector<std::size_t> allowed(points.size());
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t k = 0; k < points.size(); ++k) {
+      ScalePoint& point = points[k];
+      EntityWorld& world = *point.world;
+      const std::vector<DecisionInput>& inputs = world.inputs;
+
+      allowed[k] = 0;
+      const Clock::time_point decide_start = Clock::now();
+      for (std::size_t i = 0; i < decisions; ++i) {
+        const DecisionEffects effects = decide_on_snapshots(
+            inputs[i % inputs.size()], world.snapshots, cache, pcp_config);
+        allowed[k] += effects.decision.allow ? 1 : 0;
+      }
+      point.decisions_per_sec =
+          std::max(point.decisions_per_sec,
+                   static_cast<double>(decisions) / seconds_since(decide_start));
+
+      const std::uint64_t cow_before = world.erm.cow_stats().page_copies;
+      const Clock::time_point publish_start = Clock::now();
+      for (std::size_t i = 0; i < point.publishes; ++i) {
+        BindingEvent event;
+        event.kind = BindingKind::kUserHost;
+        event.retracted = (i % 2 == 0);
+        const std::uint32_t h = static_cast<std::uint32_t>((i / 2) % point.hosts);
+        event.user = Username{world.gen.user_name(h)};
+        event.host = Hostname{world.gen.host_name(h)};
+        world.erm.apply(event);
+        const ErmSnapshot snap = world.erm.snapshot_view();
+        if (snap.epoch() == 0) std::abort();  // keep the loop un-elidable
+      }
+      point.publish_per_sec =
+          std::max(point.publish_per_sec,
+                   static_cast<double>(point.publishes) / seconds_since(publish_start));
+      const std::uint64_t clones = world.erm.cow_stats().page_copies - cow_before;
+      if (clones != point.expected_clones) point.cow_page_copies = clones;
+    }
+  }
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    const ScalePoint& point = points[k];
+    std::printf(
+        "%-8s %9zu entities %9zu bindings  load %6.2fs  %9.0f decisions/s "
+        "(%zu allowed)  %8.0f publishes/s  %5.0f B/binding  %llu nodes cloned\n",
+        point.name.c_str(), point.entities, point.bindings, point.load_s,
+        point.decisions_per_sec, allowed[k], point.publish_per_sec,
+        point.rss_per_binding_bytes,
+        static_cast<unsigned long long>(point.cow_page_copies));
+  }
+}
+
+// What a policy point's publication rounds reuse: the loaded manager, the
+// rules the timed writes revoke and re-insert (with their current ids), and
+// the publication a PCP would hold.
+struct PolicyWorld {
+  PolicyWorld() : manager(bus) {}
+
+  MessageBus bus;
+  PolicyManager manager;
+  std::vector<PolicyRule> pop;
+  std::vector<std::pair<PolicyRuleId, std::uint32_t>> victims;
+  std::shared_ptr<const PolicySnapshot> held;
+};
 
 struct PolicyPoint {
   std::string name;
@@ -277,14 +337,15 @@ struct PolicyPoint {
   double query_per_sec = 0;
   double publish_per_sec = 0;
   double clones_per_publish = 0;  // copy-on-write nodes per revoke+insert
-  // The loaded rules, frozen before the publication loop, and flows that
+  // The loaded rules, frozen before the publication rounds, and flows that
   // each match one of them: what time_queries times.
   std::shared_ptr<const PolicySnapshot> snapshot;
   std::vector<FlowView> flows;
+  std::unique_ptr<PolicyWorld> world;
 };
 
 // The enriched flow the ERM hands the policy query for a Packet-in built
-// to match rule j of make_rules (as run_point builds its Packet-ins): the
+// to match rule j of make_rules (as load_point builds its Packet-ins): the
 // rule's target host is the endpoint the rule names, or the flow carries
 // the rule's port for the port-only rules.
 FlowView rule_flow(const ScaleGenerator& gen, const std::vector<std::uint32_t>& targets,
@@ -313,30 +374,31 @@ FlowView rule_flow(const ScaleGenerator& gen, const std::vector<std::uint32_t>& 
   return flow;
 }
 
-PolicyPoint run_policy_point(std::uint32_t rules, bool smoke) {
+// Load one policy point; time_policy_publication and time_queries time it.
+PolicyPoint load_policy_point(std::uint32_t rules) {
   ScaleConfig config;
   config.hosts = rules;  // distinct rule values, like an enterprise policy
   ScaleGenerator gen(config);
-  MessageBus bus;
-  PolicyManager manager(bus);
+  auto world = std::make_unique<PolicyWorld>();
+  PolicyManager& manager = world->manager;
 
   // Half the rules sit at the lowest priority, the PDP whose writes are
   // timed; the rest spread over seven levels above it. Loaded highest
   // level first, so each insert's consistency sweep finds nothing below
-  // (as in run_point), and the timed writes at the lowest level have no
+  // (as in load_point), and the timed writes at the lowest level have no
   // lower rule to sweep either: the loop times the write and the
   // publication, not the (separately benched) sweep.
-  const std::vector<PolicyRule> pop = gen.make_rules(rules);
+  world->pop = gen.make_rules(rules);
+  const std::vector<PolicyRule>& pop = world->pop;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> order;  // (level, rule)
   for (std::uint32_t i = 0; i < rules; ++i) {
     order.emplace_back(i % 2 == 0 ? 1 : 2 + (i / 2) % 7, i);
   }
   std::stable_sort(order.begin(), order.end(),
                    [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::vector<std::pair<PolicyRuleId, std::uint32_t>> victims;
   for (const auto& [level, i] : order) {
     const PolicyRuleId id = manager.insert(pop[i], PdpPriority{level}, "scale-bench");
-    if (level == 1) victims.emplace_back(id, i);
+    if (level == 1) world->victims.emplace_back(id, i);
   }
 
   PolicyPoint point;
@@ -349,34 +411,46 @@ PolicyPoint run_policy_point(std::uint32_t rules, bool smoke) {
         gen, targets, static_cast<std::uint32_t>((std::uint64_t{f} * 16001u) % rules)));
   }
   point.snapshot = manager.snapshot_view();
-
   // The previous snapshot stays held, as a PCP holds it until its next
   // decision, so every write path-copies against a live publication.
-  std::shared_ptr<const PolicySnapshot> held = manager.snapshot_view();
-  const CowTableStats before = manager.cow_stats();
-  const std::size_t writes = smoke ? 2000 : 10000;
-  const Clock::time_point start = Clock::now();
-  for (std::size_t w = 0; w < writes; ++w) {
-    auto& [id, i] = victims[(w * 7919) % victims.size()];
-    if (!manager.revoke(id)) std::abort();
-    id = manager.insert(pop[i], PdpPriority{1}, "scale-bench");
-    held = manager.snapshot_view();
-  }
-  point.publish_per_sec = static_cast<double>(writes) / seconds_since(start);
-  const CowTableStats after = manager.cow_stats();
-  point.clones_per_publish =
-      static_cast<double>(after.page_copies - before.page_copies +
-                          after.root_copies - before.root_copies) /
-      static_cast<double>(writes);
+  world->held = manager.snapshot_view();
+  point.world = std::move(world);
   return point;
 }
 
-// PolicySnapshot::query() throughput per point: the best of several
-// rounds, with the points' rounds interleaved, so a drift in the host's
-// speed slows every point alike instead of whichever point it falls on.
-// Every probe flow must match a rule.
+// Policy publication throughput per point (one revoke plus one insert at
+// the lowest priority, then snapshot_view()), the best of kRounds
+// interleaved rounds; clones_per_publish averages every round.
+void time_policy_publication(std::vector<PolicyPoint>& points, bool smoke) {
+  const std::size_t writes = smoke ? 2000 : 10000;
+  std::vector<std::uint64_t> clones(points.size());
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t k = 0; k < points.size(); ++k) {
+      PolicyWorld& world = *points[k].world;
+      const CowTableStats before = world.manager.cow_stats();
+      const Clock::time_point start = Clock::now();
+      for (std::size_t w = 0; w < writes; ++w) {
+        auto& [id, i] = world.victims[(w * 7919) % world.victims.size()];
+        if (!world.manager.revoke(id)) std::abort();
+        id = world.manager.insert(world.pop[i], PdpPriority{1}, "scale-bench");
+        world.held = world.manager.snapshot_view();
+      }
+      points[k].publish_per_sec = std::max(
+          points[k].publish_per_sec, static_cast<double>(writes) / seconds_since(start));
+      const CowTableStats after = world.manager.cow_stats();
+      clones[k] += after.page_copies - before.page_copies + after.root_copies -
+                   before.root_copies;
+    }
+  }
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    points[k].clones_per_publish =
+        static_cast<double>(clones[k]) / static_cast<double>(writes * kRounds);
+  }
+}
+
+// PolicySnapshot::query() throughput per point, the best of kRounds
+// interleaved rounds. Every probe flow must match a rule.
 void time_queries(std::vector<PolicyPoint>& points, bool smoke) {
-  constexpr int kRounds = 7;
   const std::size_t per_round = smoke ? 20000 : 50000;
   for (int round = 0; round < kRounds; ++round) {
     for (PolicyPoint& p : points) {
@@ -537,15 +611,17 @@ int run(bool smoke, const char* baseline_path) {
 
   const std::uint32_t rules = smoke ? 5000 : 100000;
   std::vector<ScalePoint> points;
-  for (const std::uint32_t h : hosts) points.push_back(run_point(h, rules, smoke));
+  for (const std::uint32_t h : hosts) points.push_back(load_point(h, rules, smoke));
+  time_entity_points(points, smoke);
 
   std::vector<PolicyPoint> policy_points;
   const std::vector<std::uint32_t> rule_counts =
       smoke ? std::vector<std::uint32_t>{1000, 10000}
             : std::vector<std::uint32_t>{1000, 10000, 100000};
   for (const std::uint32_t n : rule_counts) {
-    policy_points.push_back(run_policy_point(n, smoke));
+    policy_points.push_back(load_policy_point(n));
   }
+  time_policy_publication(policy_points, smoke);
   time_queries(policy_points, smoke);
 
   const ScalePoint& small = points.front();
@@ -589,12 +665,12 @@ int run(bool smoke, const char* baseline_path) {
     }
   }
   // Binding publication is O(changed), counted: each publish clones the
-  // nodes on its write's tree paths and nothing else.
+  // nodes on its write's tree paths and nothing else, in every round.
   for (const ScalePoint& p : points) {
     if (p.cow_page_copies != p.expected_clones) {
       std::fprintf(stderr,
-                   "FAIL: %s cloned %llu nodes over %llu publishes (gate: exactly "
-                   "%llu)\n",
+                   "FAIL: %s cloned %llu nodes over %llu publishes in a round (gate: "
+                   "exactly %llu)\n",
                    p.name.c_str(), static_cast<unsigned long long>(p.cow_page_copies),
                    static_cast<unsigned long long>(p.publishes),
                    static_cast<unsigned long long>(p.expected_clones));

@@ -285,6 +285,8 @@ void run_fast_pass(const Workload& workload, FrameBufferPool& pool, Sink& sink) 
             pool.release(std::move(buffer));
             break;
           }
+          case FrameClass::kPacketIn:  // the PCP's; these mixes have none
+            break;
           case FrameClass::kDecode: {
             auto decoded = decode(view);
             if (!decoded.ok()) break;

@@ -46,19 +46,21 @@ struct CowTableStats {
 // the generation may be shared by a published snapshot and is cloned first
 // (counted in `copies`); a node created since the latest publication is
 // private to the writer and mutated in place. `Node` needs a `tag` member.
-template <typename Node>
-Node& cow_write(std::shared_ptr<Node>& node, std::uint64_t generation,
+// A slot may hold its node through a base type (`Slot`, with the `tag`),
+// in which case `Node` names the node's actual type.
+template <typename Slot, typename Node = Slot>
+Node& cow_write(std::shared_ptr<Slot>& slot, std::uint64_t generation,
                 std::uint64_t& copies) {
-  if (node == nullptr) {
-    node = std::make_shared<Node>();
-  } else if (node->tag != generation) {
-    node = std::make_shared<Node>(*node);
+  if (slot == nullptr) {
+    slot = std::make_shared<Node>();
+  } else if (slot->tag != generation) {
+    slot = std::make_shared<Node>(static_cast<const Node&>(*slot));
     ++copies;
   } else {
-    return *node;
+    return static_cast<Node&>(*slot);
   }
-  node->tag = generation;
-  return *node;
+  slot->tag = generation;
+  return static_cast<Node&>(*slot);
 }
 
 // Copy-on-write hash trie over 64-bit keys (a CHAMP trie: each node holds
@@ -203,10 +205,10 @@ class CowRadixMap {
     if (!covers(key)) return nullptr;
     const Inner* node = root_.get();
     for (unsigned level = height_; level > 1; --level) {
-      node = node->inners[slice(key, level)].get();
+      node = static_cast<const Inner*>(node->children[slice(key, level)].get());
       if (node == nullptr) return nullptr;
     }
-    const Leaf* leaf = node->leaves[slice(key, 1)].get();
+    const auto* leaf = static_cast<const Leaf*>(node->children[slice(key, 1)].get());
     if (leaf == nullptr) return nullptr;
     const V& value = leaf->values[slice(key, 0)];
     return value ? &value : nullptr;
@@ -219,7 +221,7 @@ class CowRadixMap {
       auto grown = std::make_shared<Inner>();
       grown->tag = generation;
       if (root_ != nullptr) {
-        grown->inners[0] = std::move(root_);
+        grown->children[0] = std::move(root_);
         grown->live = 1;
       }
       root_ = std::move(grown);
@@ -227,13 +229,13 @@ class CowRadixMap {
     }
     Inner* node = &cow_write(root_, generation, stats.page_copies);
     for (unsigned level = height_; level > 1; --level) {
-      std::shared_ptr<Inner>& child = node->inners[slice(key, level)];
+      std::shared_ptr<Node>& child = node->children[slice(key, level)];
       if (child == nullptr) ++node->live;
-      node = &cow_write(child, generation, stats.page_copies);
+      node = &cow_write<Node, Inner>(child, generation, stats.page_copies);
     }
-    std::shared_ptr<Leaf>& slot = node->leaves[slice(key, 1)];
+    std::shared_ptr<Node>& slot = node->children[slice(key, 1)];
     if (slot == nullptr) ++node->live;
-    Leaf& leaf = cow_write(slot, generation, stats.page_copies);
+    Leaf& leaf = cow_write<Node, Leaf>(slot, generation, stats.page_copies);
     V& stored = leaf.values[slice(key, 0)];
     if (!stored) {
       ++leaf.live;
@@ -264,17 +266,18 @@ class CowRadixMap {
  private:
   static constexpr unsigned kBits = 5;
   static constexpr unsigned kMaxHeight = 12;  // inner levels: 65 bits with the leaf
-  struct Leaf {
+  // What every node starts with. A child pointer holds one through this
+  // type, and the level says which node it is: a leaf at level 1, an inner
+  // node above it. (The control block frees it as what it was made.)
+  struct Node {
     std::uint64_t tag = 0;
-    std::uint32_t live = 0;  // occupied values
+    std::uint32_t live = 0;  // occupied values or children
+  };
+  struct Leaf : Node {
     std::array<V, 32> values{};
   };
-  struct Inner {
-    std::uint64_t tag = 0;
-    std::uint32_t live = 0;  // occupied children
-    // One level down: inner nodes above level 1, leaves at it.
-    std::array<std::shared_ptr<Inner>, 32> inners{};
-    std::array<std::shared_ptr<Leaf>, 32> leaves{};
+  struct Inner : Node {
+    std::array<std::shared_ptr<Node>, 32> children{};
   };
 
   static unsigned slice(std::uint64_t key, unsigned level) {
@@ -285,33 +288,32 @@ class CowRadixMap {
     return height_ == kMaxHeight || (height_ > 0 && (key >> (kBits * (height_ + 1))) == 0);
   }
 
-  void erase_in(std::shared_ptr<Inner>& slot, std::uint64_t key, unsigned level,
+  template <typename Slot>
+  void erase_in(std::shared_ptr<Slot>& slot, std::uint64_t key, unsigned level,
                 std::uint64_t generation, CowTableStats& stats) {
-    Inner& node = cow_write(slot, generation, stats.page_copies);
-    const unsigned i = slice(key, level);
+    Inner& node = cow_write<Slot, Inner>(slot, generation, stats.page_copies);
+    std::shared_ptr<Node>& child = node.children[slice(key, level)];
     if (level == 1) {
-      Leaf& leaf = cow_write(node.leaves[i], generation, stats.page_copies);
+      Leaf& leaf = cow_write<Node, Leaf>(child, generation, stats.page_copies);
       leaf.values[slice(key, 0)] = V{};
-      if (--leaf.live == 0) {
-        node.leaves[i].reset();
-        --node.live;
-      }
-      return;
+      --leaf.live;
+    } else {
+      erase_in(child, key, level - 1, generation, stats);
     }
-    erase_in(node.inners[i], key, level - 1, generation, stats);
-    if (node.inners[i]->live == 0) {
-      node.inners[i].reset();
+    if (child->live == 0) {
+      child.reset();
       --node.live;
     }
   }
 
   template <typename Fn>
   static void for_each_in(const Inner& node, unsigned level, Fn& fn) {
-    for (unsigned i = 0; i < 32; ++i) {
+    for (const std::shared_ptr<Node>& child : node.children) {
+      if (child == nullptr) continue;
       if (level > 1) {
-        if (node.inners[i] != nullptr) for_each_in(*node.inners[i], level - 1, fn);
-      } else if (node.leaves[i] != nullptr) {
-        for (const V& value : node.leaves[i]->values) {
+        for_each_in(static_cast<const Inner&>(*child), level - 1, fn);
+      } else {
+        for (const V& value : static_cast<const Leaf&>(*child).values) {
           if (value) fn(value);
         }
       }

@@ -2,8 +2,10 @@
 //
 // Key: the canonical low-level flow tuple the PCP observes on a Packet-in
 // (ingress DPID + port, MACs, EtherType, IPs, ip_proto, L4 ports). Value:
-// the complete decision previously computed for that tuple — policy
-// verdict plus the compiled Table-0 flow rule — stamped with the policy
+// the decision previously computed for that tuple — the verdict, the
+// deciding policy and the compiled Table-0 flow rule, but not the enriched
+// FlowView it was derived from (the PCP stores the decision before the view
+// joins it, so a hit copies no name vectors) — stamped with the policy
 // epoch and binding epoch in force when it was derived.
 //
 // Late binding (paper Section III-B) means a decision is valid only for

@@ -80,19 +80,19 @@ DecisionSnapshots PolicyCompilationPoint::capture_snapshots() const {
 }
 
 bool PolicyCompilationPoint::admit_modelled(BatchItem& item) {
-  // Parse once, on the control thread: the canonical flow tuple both keys
-  // the decision cache and pins the flow to its shard. The model draws the
-  // service times before shard routing, so the draw sequence is independent
-  // of the shard count (shards=1 replays the single PCP exactly).
-  DecisionInput input = make_decision_input(item.dpid, item.msg);
-  const std::size_t shard = pool_.shard_of(input.flow_key);
+  // The input was parsed once, on the control thread: the canonical flow
+  // tuple both keys the decision cache and pins the flow to its shard. The
+  // model draws the service times before shard routing, so the draw
+  // sequence is independent of the shard count (shards=1 replays the
+  // single PCP exactly).
+  const std::size_t shard = pool_.shard_of(item.input.flow_key);
   // Decision-time context capture: the DES serializes everything, so
   // running the sensor + snapshot capture when service *completes* makes
   // each completion exactly one step of the single-threaded oracle.
-  return timing_->admit(shard, [this, dpid = item.dpid, input = std::move(input),
+  return timing_->admit(shard, [this, input = std::move(item.input),
                                 done = std::move(item.done)]() mutable {
     const DecisionEffects effects = decide_from_input(input);
-    apply_effects(dpid, effects, done);
+    apply_effects(input.dpid, effects, done);
   });
 }
 
@@ -118,7 +118,8 @@ std::size_t PolicyCompilationPoint::submit_threaded_batch(BatchItem* items,
     // submission order.
     const double blocking_ms = timing_ != nullptr ? timing_->draw_blocking_ms() : 0.0;
 
-    DecisionInput input = make_decision_input(item.dpid, item.msg);
+    DecisionInput input = std::move(item.input);
+    const Dpid dpid = input.dpid;
     const std::size_t shard = pool_.shard_of(input.flow_key);
 
     // Submit-time context capture: workers must not read live ERM/policy
@@ -127,13 +128,15 @@ std::size_t PolicyCompilationPoint::submit_threaded_batch(BatchItem* items,
     // sensor runs later, in the apply closure, so binding updates still
     // happen in submission order against the live ERM.
     if (input.packet.has_value()) {
-      input.prior_src_location =
-          erm_.location_of_mac(item.dpid, input.packet->eth.src);
+      input.prior_src_location = erm_.location_of_mac(dpid, input.packet->eth.src);
     }
+    // The callback stays on the control thread (threaded_callbacks_), so a
+    // job a killed worker abandons still has it run.
+    const std::uint64_t seq = pool_.submitted_seq();
     item.accepted = pool_.submit_threaded(
         shard,
-        [this, ctx, dpid = item.dpid, shard, input = std::move(input),
-         done = std::move(item.done), blocking_ms]() mutable -> std::function<void()> {
+        [this, ctx, dpid, shard, seq, input = std::move(input),
+         blocking_ms]() mutable -> std::function<void()> {
           if (blocking_ms > 0.0) {
             // The paper's PCP spends its Table II service time blocked on
             // component queries (IPC to the ERM and Policy Manager), not on
@@ -145,8 +148,8 @@ std::size_t PolicyCompilationPoint::submit_threaded_batch(BatchItem* items,
           }
           DecisionEffects effects =
               decide_on_snapshots(input, ctx->snapshots, *caches_[shard], config_);
-          return [this, dpid, input = std::move(input),
-                  effects = std::move(effects), done = std::move(done),
+          return [this, dpid, seq, input = std::move(input),
+                  effects = std::move(effects),
                   policy_epoch = ctx->policy_epoch,
                   binding_epoch = ctx->binding_epoch]() mutable {
             if (input.packet.has_value()) {
@@ -163,10 +166,11 @@ std::size_t PolicyCompilationPoint::submit_threaded_batch(BatchItem* items,
                   decide_on_snapshots(input, capture_snapshots(),
                                       redecide_cache_, config_);
             }
-            apply_effects(dpid, effects, done);
+            apply_effects(dpid, effects, take_threaded_callback(seq));
           };
         });
     if (item.accepted) {
+      threaded_callbacks_.emplace_back(seq, std::move(item.done));
       ++accepted;
     } else {
       ++stats_.dropped_overload;
@@ -183,6 +187,31 @@ void PolicyCompilationPoint::retire_batches() {
   while (!batches_.empty() && batches_.front().end_seq <= applied) {
     batches_.pop_front();
   }
+  abandon_callbacks_before(applied);
+}
+
+PolicyCompilationPoint::DecisionCallback PolicyCompilationPoint::take_threaded_callback(
+    std::uint64_t seq) {
+  // Applies run in seq order and skip abandoned jobs, so every callback
+  // queued ahead of this one belongs to an abandoned job.
+  abandon_callbacks_before(seq);
+  assert(!threaded_callbacks_.empty() && threaded_callbacks_.front().first == seq);
+  DecisionCallback done = std::move(threaded_callbacks_.front().second);
+  threaded_callbacks_.pop_front();
+  return done;
+}
+
+void PolicyCompilationPoint::abandon_callbacks_before(std::uint64_t seq) {
+  while (!threaded_callbacks_.empty() && threaded_callbacks_.front().first < seq) {
+    // A killed worker abandoned the decision: nothing was installed, and
+    // the packet is dropped — fail-secure, like an overload drop. The
+    // callback hears a default deny.
+    DecisionCallback done = std::move(threaded_callbacks_.front().second);
+    threaded_callbacks_.pop_front();
+    PcpDecision deny;
+    deny.policy.default_deny = true;
+    if (done) done(deny);
+  }
 }
 
 std::size_t PolicyCompilationPoint::poll_completions() {
@@ -196,9 +225,9 @@ void PolicyCompilationPoint::wait_idle() {
   retire_batches();
 }
 
-bool PolicyCompilationPoint::handle_packet_in(Dpid dpid, PacketInMsg msg,
+bool PolicyCompilationPoint::handle_packet_in(Dpid dpid, const PacketInMsg& msg,
                                               DecisionCallback done) {
-  BatchItem item{dpid, std::move(msg), std::move(done)};
+  BatchItem item{make_decision_input(dpid, msg), std::move(done)};
   submit(&item, 1, 0);
   return item.accepted;
 }
@@ -224,8 +253,7 @@ std::size_t PolicyCompilationPoint::submit(BatchItem* items, std::size_t count,
       item.accepted = admitted + accepted < config_.queue_capacity;
       if (item.accepted) {
         // The live path: the oracle's steps (see decide()), here and now.
-        DecisionInput input = make_decision_input(item.dpid, item.msg);
-        apply_effects(item.dpid, decide_from_input(input), item.done);
+        apply_effects(item.input.dpid, decide_from_input(item.input), item.done);
       }
     }
     if (item.accepted) {

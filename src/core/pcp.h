@@ -104,15 +104,19 @@ class PolicyCompilationPoint {
   // re-enter on retransmission. On completion the compiled rule has been
   // written to the switch and `done` is invoked — before this returns on
   // the inline path, at the modelled completion with the paper's model,
-  // during poll_completions()/wait_idle() for the threaded backend.
-  bool handle_packet_in(Dpid dpid, PacketInMsg msg, DecisionCallback done);
+  // during poll_completions()/wait_idle() for the threaded backend. An
+  // accepted Packet-in's `done` runs exactly once: a decision a killed
+  // worker abandons (fault injection) delivers a default deny that
+  // installed nothing.
+  bool handle_packet_in(Dpid dpid, const PacketInMsg& msg, DecisionCallback done);
 
-  // One Packet-in of a batch submission (handle_packet_in_batch). The PCP
-  // sets `accepted` per item; a rejected item's packet is dropped exactly
-  // like a rejected handle_packet_in (the caller counts it).
+  // One Packet-in of a batch submission (handle_packet_in_batch): its
+  // parsed input (make_decision_input; the proxy builds it from the frame's
+  // bytes) and its callback. The PCP sets `accepted` per item; a rejected
+  // item's packet is dropped exactly like a rejected handle_packet_in (the
+  // caller counts it) and its `done` is never invoked.
   struct BatchItem {
-    Dpid dpid{};
-    PacketInMsg msg;
+    DecisionInput input;
     DecisionCallback done;
     bool accepted = false;
   };
@@ -194,8 +198,13 @@ class PolicyCompilationPoint {
   // Admit one item to the timing model's station; it is decided when its
   // modelled service completes.
   bool admit_modelled(BatchItem& item);
-  // Free batch contexts whose jobs have all applied or been abandoned.
+  // Free batch contexts whose jobs have all applied or been abandoned,
+  // and run the callbacks of abandoned jobs.
   void retire_batches();
+  // The callback of threaded job `seq`, applying now.
+  DecisionCallback take_threaded_callback(std::uint64_t seq);
+  // Run the callbacks of jobs before `seq` that will never apply.
+  void abandon_callbacks_before(std::uint64_t seq);
 
   // Decision-time context + pure decide, in oracle order: sensor first,
   // then snapshot capture, then decide_on_snapshots against the shard's
@@ -224,6 +233,10 @@ class PolicyCompilationPoint {
   // the pool joins its workers — the only other readers of a context —
   // before any context is freed.
   std::deque<PendingBatch> batches_;
+  // Threaded backend: the callbacks of accepted jobs not yet applied, by
+  // submission seq. Kept here, on the control thread, rather than in the
+  // job, so that a job a killed worker abandons still has its callback run.
+  std::deque<std::pair<std::uint64_t, DecisionCallback>> threaded_callbacks_;
   PcpShardPool pool_;
   // One decision cache per shard; a flow's hash pins it to one shard, so
   // each cache is touched only by that shard's execution context (the

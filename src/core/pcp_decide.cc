@@ -15,16 +15,21 @@ PolicyDecision default_deny_decision() {
 
 }  // namespace
 
-DecisionInput make_decision_input(Dpid dpid, const PacketInMsg& msg) {
+DecisionInput make_decision_input(Dpid dpid, PortNo in_port, const std::uint8_t* data,
+                                  std::size_t size) {
   DecisionInput input;
   input.dpid = dpid;
-  input.in_port = msg.in_port;
-  auto parsed = Packet::parse(msg.data);
+  input.in_port = in_port;
+  auto parsed = Packet::parse(data, size);
   if (parsed.ok()) {
     input.packet = std::move(parsed.value());
-    input.flow_key = FlowKey::from_packet(dpid, msg.in_port, *input.packet);
+    input.flow_key = FlowKey::from_packet(dpid, in_port, *input.packet);
   }
   return input;
+}
+
+DecisionInput make_decision_input(Dpid dpid, const PacketInMsg& msg) {
+  return make_decision_input(dpid, msg.in_port, msg.data.data(), msg.data.size());
 }
 
 FlowModMsg compile_exact_rule(const Packet& packet, PortNo in_port, bool allow,
@@ -135,7 +140,6 @@ DecisionEffects decide_on_snapshots(const DecisionInput& input,
   // Policy query: highest-priority matching rule, default deny.
   decision.policy = snapshots.policy->query(flow);
   decision.allow = decision.policy.action == PolicyAction::kAllow;
-  decision.flow = flow;
 
   decision.installed_rule =
       compile_exact_rule(packet, input.in_port, decision.allow,
@@ -155,7 +159,10 @@ DecisionEffects decide_on_snapshots(const DecisionInput& input,
     }
   }
 
+  // The entry is stored before the view joins the decision: a hit never
+  // copies the view's name vectors, and the view is moved, not copied.
   cache.store(input.flow_key, decision, policy_epoch, binding_epoch);
+  decision.flow = std::move(flow);
   return effects;
 }
 

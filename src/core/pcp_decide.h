@@ -17,7 +17,9 @@
 // The one stateful concession is the per-shard DecisionCache: it is passed
 // in by reference and each shard's cache is only ever touched by that
 // shard's execution context, so the function stays data-race free without
-// locks.
+// locks. An entry holds the verdict, the deciding policy and the compiled
+// rule — not the enriched FlowView, which only a miss builds — so a hit
+// copies no name vectors.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +84,9 @@ struct PcpDecision {
   bool allow = false;
   bool spoofed = false;
   PolicyDecision policy;
-  FlowView flow;            // the enriched view the decision was made on
+  // The enriched view the decision was made on. Filled on a decision-cache
+  // miss only: the cache does not keep it, so a hit leaves it empty.
+  FlowView flow;
   FlowModMsg installed_rule;
 };
 
@@ -126,9 +130,12 @@ struct DecisionEffects {
   std::string spoof_reason;      // non-empty: log the spoof denial
 };
 
-// Parse + canonicalize one Packet-in into a DecisionInput (without
-// prior_src_location, which the caller captures from the live ERM at the
-// point in time its backend requires).
+// Parse + canonicalize one Packet-in's packet bytes into a DecisionInput
+// (without prior_src_location, which the caller captures from the live ERM
+// at the point in time its backend requires). The proxy calls it on the
+// bytes inside the frame (packet_in_fields, openflow/wire.h): no decode.
+DecisionInput make_decision_input(Dpid dpid, PortNo in_port, const std::uint8_t* data,
+                                  std::size_t size);
 DecisionInput make_decision_input(Dpid dpid, const PacketInMsg& msg);
 
 // Compile the exact-match Table-0 rule for `packet` (every identifier

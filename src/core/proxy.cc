@@ -1,5 +1,7 @@
 #include "core/proxy.h"
 
+#include <type_traits>
+
 #include "common/logging.h"
 #include "core/health_monitor.h"
 #include "core/journal.h"
@@ -64,6 +66,11 @@ void DfiProxy::destroy_session(Session& session) {
   // deferred delivery may fire after the erase below frees the session.
   *session.alive_ = false;
   if (session.dpid_.has_value()) pcp_.unregister_switch(*session.dpid_);
+  // Its undecided Packet-ins, submitted or still in the pending run: the
+  // frames go home now, and their verdicts find the slots freed.
+  for (std::uint32_t slot = 0; slot < in_flight_.size(); ++slot) {
+    if (in_flight_[slot].session == &session) pool_.release(take_packet_in(slot));
+  }
   for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
     if (it->get() == &session) {
       sessions_.erase(it);
@@ -72,11 +79,59 @@ void DfiProxy::destroy_session(Session& session) {
   }
 }
 
+std::uint32_t DfiProxy::hold_packet_in(Session& session,
+                                       std::vector<std::uint8_t> frame) {
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  in_flight_[slot].session = &session;
+  in_flight_[slot].frame = std::move(frame);
+  return slot;
+}
+
+std::vector<std::uint8_t> DfiProxy::take_packet_in(std::uint32_t slot) {
+  InFlightPacketIn& held = in_flight_[slot];
+  held.session = nullptr;
+  ++held.generation;
+  free_slots_.push_back(slot);
+  return std::move(held.frame);
+}
+
+void DfiProxy::packet_in_decided(std::uint32_t slot, std::uint32_t generation,
+                                 bool allow) {
+  // Session torn down while the decision was in flight: its frame is
+  // already back in the pool, and the slot may hold another Packet-in now.
+  if (in_flight_[slot].generation != generation) return;
+  Session& session = *in_flight_[slot].session;
+  std::vector<std::uint8_t> frame = take_packet_in(slot);
+  if (!allow) {
+    ++stats_.packet_ins_suppressed;
+    pool_.release(std::move(frame));
+    return;  // denied: the controller never sees this packet
+  }
+  ++stats_.packet_ins_forwarded;
+  // Table 0 in the controller's shifted view is its own first table, so
+  // the frame's table_id 0 is already correct after the allow.
+  session.emit(/*to_switch=*/false, std::move(frame));
+}
+
 DfiProxy::Session::Session(DfiProxy& proxy) : proxy_(proxy) {}
 
 void DfiProxy::Session::send_to_switch(const OfMessage& message) {
   std::vector<std::uint8_t> frame = proxy_.pool_.acquire();
-  encode_into(message, frame);
+  // The PCP's decision FlowMod has a one-pass writer; everything else,
+  // its deletes included, takes the general encoder.
+  const auto* mod = std::get_if<FlowModMsg>(&message.payload);
+  if (mod != nullptr && is_exact_rule(*mod)) {
+    encode_exact_rule_into(message.xid, *mod, frame);
+  } else {
+    encode_into(message, frame);
+  }
   emit(/*to_switch=*/true, std::move(frame));
 }
 
@@ -166,6 +221,11 @@ void DfiProxy::Session::fast_path_from_switch(const FrameView& view) {
       ++proxy_.stats_.frames_fast_path;
       emit(/*to_switch=*/false, proxy_.pool_.acquire_copy(view.data(), view.size()));
       return;
+    case FrameClass::kPacketIn:
+      // Canonical table-0 Packet-in: its bytes are what an allow forwards.
+      ++proxy_.stats_.frames_fast_path;
+      packet_in_to_pcp(proxy_.pool_.acquire_copy(view.data(), view.size()));
+      return;
     case FrameClass::kPatch: {
       if (view.type() == OfType::kFlowRemoved &&
           view.data()[kFlowRemovedTableOffset] == 0) {
@@ -218,6 +278,7 @@ void DfiProxy::Session::fast_path_from_controller(const FrameView& view) {
       return;
     }
     case FrameClass::kDecode:
+    case FrameClass::kPacketIn:  // switch -> controller only
       break;
   }
   ++proxy_.stats_.frames_decoded;
@@ -233,14 +294,65 @@ void DfiProxy::Session::fast_path_from_controller(const FrameView& view) {
 void DfiProxy::Session::flush_packet_ins() {
   if (pending_pins_.empty()) return;
   batch_admitted_ += proxy_.pcp_.handle_packet_in_batch(pending_pins_, batch_admitted_);
-  for (const auto& item : pending_pins_) {
-    if (!item.accepted) {
+  for (std::size_t i = 0; i < pending_pins_.size(); ++i) {
+    if (!pending_pins_[i].accepted) {
       // Admission rejected it (fail-secure: never forwarded undecided); the
       // flow re-enters on endpoint retransmission (paper Section V-A).
       ++proxy_.stats_.packet_ins_suppressed;
+      proxy_.pool_.release(proxy_.take_packet_in(pending_slots_[i]));
     }
   }
   pending_pins_.clear();
+  pending_slots_.clear();
+}
+
+void DfiProxy::Session::packet_in_to_pcp(std::vector<std::uint8_t> frame) {
+  // Miss in DFI's table: this flow has no access-control decision yet.
+  // The PCP decides first; only allowed packets reach the controller.
+  if (!dpid_.has_value()) {
+    ++proxy_.stats_.packet_ins_suppressed;
+    proxy_.pool_.release(std::move(frame));
+    DFI_WARN << "proxy: packet-in before handshake completed; dropped";
+    return;
+  }
+  // Degraded-mode gate (DESIGN.md §6): while the control plane is
+  // degraded or recovering the PCP's answer cannot be trusted — the
+  // store may be mid-replay, shards may be dead. Fail-secure extends
+  // default-deny to component failure: the flow is suppressed and
+  // re-enters on retransmission once the plane is healthy (invariant
+  // I1 holds through the window by construction). Fail-open is the
+  // paper-discussed alternative stance, implemented for the ablation:
+  // the controller sees the packet undecided.
+  if (proxy_.health_ != nullptr && proxy_.health_->gating()) {
+    if (proxy_.health_->mode() == DegradedMode::kFailSecure) {
+      ++proxy_.stats_.packet_ins_suppressed;
+      ++proxy_.stats_.degraded_suppressed;
+      proxy_.pool_.release(std::move(frame));
+      return;
+    }
+    ++proxy_.stats_.degraded_forwarded;
+    ++proxy_.stats_.packet_ins_forwarded;
+    emit(/*to_switch=*/false, std::move(frame));
+    return;
+  }
+  ++proxy_.stats_.packet_ins_to_pcp;
+  // Join the current run; the read batch's end (or the next decoded
+  // non-Packet-in message) submits it to the PCP. The input is parsed from
+  // the frame's packet bytes, and the frame waits in an in-flight slot for
+  // the verdict the callback delivers.
+  const PacketInFields fields = packet_in_fields(FrameView(frame.data(), frame.size()));
+  PolicyCompilationPoint::BatchItem& item = pending_pins_.emplace_back();
+  item.input = make_decision_input(*dpid_, fields.in_port, fields.data, fields.size);
+  const std::uint32_t slot = proxy_.hold_packet_in(*this, std::move(frame));
+  auto done = [proxy = &proxy_, slot, generation = proxy_.in_flight_[slot].generation](
+                  const PcpDecision& decision) {
+    proxy->packet_in_decided(slot, generation, decision.allow);
+  };
+  // std::function keeps a callable this small and trivially copyable in
+  // its own storage: submitting a Packet-in allocates nothing.
+  static_assert(sizeof(done) <= 16 && std::is_trivially_copyable_v<decltype(done)>);
+  item.done = done;
+  pending_slots_.push_back(slot);
 }
 
 void DfiProxy::Session::handle_switch_message(OfMessage message) {
@@ -270,55 +382,11 @@ void DfiProxy::Session::handle_switch_message(OfMessage message) {
 
   if (auto* packet_in = std::get_if<PacketInMsg>(&message.payload)) {
     if (packet_in->table_id == 0) {
-      // Miss in DFI's table: this flow has no access-control decision yet.
-      // The PCP decides first; only allowed packets reach the controller.
-      if (!dpid_.has_value()) {
-        ++proxy_.stats_.packet_ins_suppressed;
-        DFI_WARN << "proxy: packet-in before handshake completed; dropped";
-        return;
-      }
-      // Degraded-mode gate (DESIGN.md §6): while the control plane is
-      // degraded or recovering the PCP's answer cannot be trusted — the
-      // store may be mid-replay, shards may be dead. Fail-secure extends
-      // default-deny to component failure: the flow is suppressed and
-      // re-enters on retransmission once the plane is healthy (invariant
-      // I1 holds through the window by construction). Fail-open is the
-      // paper-discussed alternative stance, implemented for the ablation:
-      // the controller sees the packet undecided.
-      if (proxy_.health_ != nullptr && proxy_.health_->gating()) {
-        if (proxy_.health_->mode() == DegradedMode::kFailSecure) {
-          ++proxy_.stats_.packet_ins_suppressed;
-          ++proxy_.stats_.degraded_suppressed;
-          return;
-        }
-        ++proxy_.stats_.degraded_forwarded;
-        ++proxy_.stats_.packet_ins_forwarded;
-        send_to_controller(OfMessage{message.xid, *packet_in});
-        return;
-      }
-      ++proxy_.stats_.packet_ins_to_pcp;
-      // Join the current run; the read batch's end (or the next
-      // non-Packet-in message) submits it to the PCP. The decision callback
-      // delivers the allow verdict.
-      PolicyCompilationPoint::BatchItem item;
-      item.dpid = *dpid_;
-      item.msg = *packet_in;
-      item.done = [this, alive = alive_, xid = message.xid,
-                   original = *packet_in](const PcpDecision& decision) {
-        // Session torn down while the decision was in flight: nothing
-        // to deliver and `this` may be gone — the token is the only
-        // safe thing to touch.
-        if (!*alive) return;
-        if (!decision.allow) {
-          ++proxy_.stats_.packet_ins_suppressed;
-          return;  // denied: the controller never sees this packet
-        }
-        ++proxy_.stats_.packet_ins_forwarded;
-        // Table 0 in the controller's shifted view is its own first
-        // table, so table_id 0 is already correct after the allow.
-        send_to_controller(OfMessage{xid, original});
-      };
-      pending_pins_.push_back(std::move(item));
+      // A non-canonical table-0 Packet-in: re-encoded once into the
+      // canonical frame, it takes the fast path's route to the PCP.
+      std::vector<std::uint8_t> frame = proxy_.pool_.acquire();
+      encode_into(message, frame);
+      packet_in_to_pcp(std::move(frame));
       return;
     }
     // Miss in a controller table: the flow already passed DFI's Table 0.

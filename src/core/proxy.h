@@ -17,13 +17,25 @@
 //    never forwarded to the controller, so a malicious/faulty controller or
 //    app never sees (and cannot be poisoned by) traffic DFI rejects.
 //
+// A table-0 Packet-in is decided from its frame bytes (DESIGN.md §5): a
+// canonical one (FrameClass::kPacketIn) is copied once into a pooled frame
+// and never decoded; a non-canonical one is decoded and re-encoded once
+// into a pooled frame; both then take one path. The PCP's input is parsed
+// from the frame's packet bytes, the pooled frame waits in a proxy-owned
+// in-flight slot until the verdict, and an allowed Packet-in is forwarded
+// as that frame. The decision callback captures only the proxy and its
+// slot (16 trivially copyable bytes, kept inside std::function), so a warm
+// Packet-in allocates nothing; the slot's frame returns to the pool on a
+// deny, an overload drop and a session teardown.
+//
 // The proxy is deliberately stateless across sessions: per-session state is
 // only the datapath id and table count learned from the handshake, so
 // multiple proxies can run in parallel (paper: not a single point of
 // failure).
 //
-// Delivery (DESIGN.md §5): every outbound frame is encoded into a pooled
-// buffer and handed to the session's endpoint. A socket session hands it
+// Delivery (DESIGN.md §5): every outbound frame is a pooled buffer —
+// encoded, patched, or forwarded as received — handed to the session's
+// endpoint. A socket session hands it
 // over inline — its endpoint only queues, so it cannot re-enter the proxy.
 // An in-process session defers the delivery through the proxy's DeferFn
 // (the paper model's proxy delay, or zero delay on the simulator), because
@@ -56,8 +68,9 @@ struct ProxyStats {
   std::uint64_t malformed = 0;
 
   // Wire fast path (DESIGN.md §5): frames forwarded verbatim or dropped
-  // without decode, frames table-shifted in place, and frames that needed
-  // the full decode->re-encode slow path.
+  // without decode (table-0 Packet-ins decided from their bytes included),
+  // frames table-shifted in place, and frames that needed the full
+  // decode->re-encode slow path.
   std::uint64_t frames_fast_path = 0;
   std::uint64_t frames_patched = 0;
   std::uint64_t frames_decoded = 0;
@@ -93,7 +106,8 @@ class DfiProxy {
   // A socket endpoint: takes each pooled frame and returns it to
   // buffer_pool() once written (or dropped).
   using FrameSink = std::function<void(std::vector<std::uint8_t> frame)>;
-  // Runs an in-process delivery later (DfiSystem supplies it).
+  // Runs an in-process delivery later (DfiSystem supplies it; a proxy with
+  // socket sessions only may pass none).
   using DeferFn = std::function<void(std::function<void()> deliver)>;
 
   // One proxied switch<->controller connection pair.
@@ -131,6 +145,9 @@ class DfiProxy {
     void fast_path_from_controller(const FrameView& view);
     void handle_switch_message(OfMessage message);
     void handle_controller_message(OfMessage message);
+    // A table-0 Packet-in, canonical and in a pooled frame: the handshake
+    // and degraded-mode gates, then the pending run.
+    void packet_in_to_pcp(std::vector<std::uint8_t> frame);
     // Encode into a pooled frame and emit it.
     void send_to_switch(const OfMessage& message);
     void send_to_controller(const OfMessage& message);
@@ -154,20 +171,25 @@ class DfiProxy {
     std::optional<Dpid> dpid_;
     std::uint8_t switch_num_tables_ = 0;
     // The current run of consecutive table-0 Packet-ins, submitted before
-    // any other message and at the end of every read batch — never carried
-    // across either boundary.
+    // any other decoded message and at the end of every read batch — never
+    // carried across either boundary — and each one's in-flight slot.
     std::vector<PolicyCompilationPoint::BatchItem> pending_pins_;
+    std::vector<std::uint32_t> pending_slots_;
     // Packet-ins the PCP admitted from the current read batch (its inline
     // admission bound spans every run of the batch).
     std::size_t batch_admitted_ = 0;
-    // Liveness token: deferred deliveries and in-flight PCP decision
-    // callbacks capture this instead of trusting `this` to outlive them.
+    // Liveness token: deferred deliveries and the PCP's switch writer
+    // capture this instead of trusting `this` to outlive them.
     // destroy_session() flips it, turning every outstanding closure into a
     // no-op — tearing a session down mid-Packet-in must not touch freed
-    // memory.
+    // memory. (Decision callbacks find their session through an in-flight
+    // slot instead, which destroy_session() frees.)
     std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   };
 
+  // The PCP must apply no decision of this proxy's after the proxy is
+  // destroyed (DfiSystem destroys the two together; the threaded pool
+  // drops unapplied completions when it is destroyed).
   DfiProxy(PolicyCompilationPoint& pcp, DeferFn defer);
   ~DfiProxy();
 
@@ -180,10 +202,12 @@ class DfiProxy {
   Session& create_socket_session(FrameSink to_switch, FrameSink to_controller);
 
   // Tear a session down immediately: its switch is unregistered from the
-  // PCP and every outstanding deferred delivery or in-flight decision
-  // callback becomes a no-op. Models the control channel dying mid-flight.
-  // Call before re-creating a session for the same switch — the new
-  // session's PCP registration must come after the old one is gone.
+  // PCP, every outstanding deferred delivery or in-flight decision
+  // callback becomes a no-op, and the pooled frames of its undecided
+  // Packet-ins return to the pool. Models the control channel dying
+  // mid-flight. Call before re-creating a session for the same switch —
+  // the new session's PCP registration must come after the old one is
+  // gone.
   void destroy_session(Session& session);
 
   std::size_t session_count() const { return sessions_.size(); }
@@ -208,7 +232,24 @@ class DfiProxy {
  private:
   friend class Session;
 
+  // One table-0 Packet-in between its submission and its verdict: its
+  // session and pooled frame. A slot is freed when the verdict lands or
+  // the session is torn down, and its generation moves on, so a verdict
+  // that arrives for a freed or reused slot is dropped.
+  struct InFlightPacketIn {
+    Session* session = nullptr;
+    std::vector<std::uint8_t> frame;
+    std::uint32_t generation = 0;
+  };
+
   Session& add_session();
+  std::uint32_t hold_packet_in(Session& session, std::vector<std::uint8_t> frame);
+  // The PCP's verdict for `slot`, if it still holds the Packet-in it was
+  // given under `generation`: forward the frame to the controller or
+  // return it to the pool.
+  void packet_in_decided(std::uint32_t slot, std::uint32_t generation, bool allow);
+  // Free `slot`, handing back its frame.
+  std::vector<std::uint8_t> take_packet_in(std::uint32_t slot);
 
   PolicyCompilationPoint& pcp_;
   DeferFn defer_;
@@ -218,6 +259,10 @@ class DfiProxy {
   // Frame buffers shared by every session: forwarding reuses capacity
   // instead of allocating per message.
   FrameBufferPool pool_;
+  // Undecided table-0 Packet-ins by slot, and the free slots. Both grow to
+  // the most Packet-ins ever in flight at once and are reused after that.
+  std::vector<InFlightPacketIn> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   // Proxy-level liveness token, flipped in the destructor: a deferred
   // delivery whose session died can still return its pooled buffer as long
   // as the proxy (and so the pool) is alive — pool accounting must reach

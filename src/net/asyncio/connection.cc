@@ -139,13 +139,19 @@ bool Connection::send(std::vector<std::uint8_t> frame) {
     release_frame(std::move(frame));
     return accepted;
   }
-  if (egress_.size() >= config_.max_egress_frames) {
+  if (egress_count_ >= config_.max_egress_frames) {
     ++stats_.send_rejected;
     release_frame(std::move(frame));
     return false;
   }
+  if (egress_count_ == egress_.size()) {
+    std::vector<std::vector<std::uint8_t>> grown(egress_.empty() ? 16 : 2 * egress_.size());
+    for (std::size_t i = 0; i < egress_count_; ++i) grown[i] = std::move(egress_at(i));
+    egress_ = std::move(grown);
+    egress_head_ = 0;
+  }
   egress_bytes_ += frame.size();
-  egress_.push_back(std::move(frame));
+  egress_at(egress_count_++) = std::move(frame);
   if (!backed_up_ && egress_bytes_ >= config_.egress_high_watermark) {
     set_backed_up(true);
     flush();  // try to relieve the queue immediately
@@ -160,13 +166,12 @@ void Connection::flush() {
   ConstByteSpan spans[64];
   const std::size_t max_iovecs =
       std::min<std::size_t>(config_.writev_max_iovecs, 64);
-  while (!egress_.empty()) {
-    std::size_t n = 0;
-    for (const auto& frame : egress_) {
-      if (n >= max_iovecs) break;
-      const std::size_t offset = (n == 0) ? egress_front_offset_ : 0;
-      spans[n] = ConstByteSpan{frame.data() + offset, frame.size() - offset};
-      ++n;
+  while (egress_count_ > 0) {
+    const std::size_t n = std::min(egress_count_, max_iovecs);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<std::uint8_t>& frame = egress_at(i);
+      const std::size_t offset = (i == 0) ? egress_front_offset_ : 0;
+      spans[i] = ConstByteSpan{frame.data() + offset, frame.size() - offset};
     }
     const IoResult r = socket_->write_vec(spans, n);
     if (r.status == IoStatus::kWouldBlock) {
@@ -188,22 +193,21 @@ void Connection::flush() {
     stats_.write_bytes += r.bytes;
     std::size_t left = r.bytes;
     while (left > 0) {
-      auto& front = egress_.front();
+      auto& front = egress_at(0);
       const std::size_t remaining = front.size() - egress_front_offset_;
       if (left >= remaining) {
         left -= remaining;
         egress_bytes_ -= front.size();
         egress_front_offset_ = 0;
         ++stats_.frames_out;
-        release_frame(std::move(front));
-        egress_.pop_front();
+        pop_egress();
       } else {
         egress_front_offset_ += left;
         left = 0;
       }
     }
   }
-  if (want_write_ && egress_.empty()) {
+  if (want_write_ && egress_count_ == 0) {
     want_write_ = false;
     update_interest();
   }
@@ -239,10 +243,7 @@ void Connection::close(const char* reason) {
   if (registered_ && loop_ && socket_) loop_->remove_fd(socket_->fd());
   registered_ = false;
   if (socket_) socket_->close();
-  while (!egress_.empty()) {
-    release_frame(std::move(egress_.front()));
-    egress_.pop_front();
-  }
+  while (egress_count_ > 0) pop_egress();
   egress_bytes_ = 0;
   egress_front_offset_ = 0;
   if (close_observer_) {
@@ -263,6 +264,12 @@ void Connection::update_interest() {
 
 void Connection::release_frame(std::vector<std::uint8_t> frame) {
   if (pool_ != nullptr) pool_->release(std::move(frame));
+}
+
+void Connection::pop_egress() {
+  release_frame(std::move(egress_at(0)));
+  egress_head_ = (egress_head_ + 1) & (egress_.size() - 1);
+  --egress_count_;
 }
 
 void Connection::set_backed_up(bool backed_up) {

@@ -5,7 +5,9 @@
 // each FrameView to the owner — the same zero-copy classify() fast path the
 // in-process transport feeds. Write path: a bounded egress queue of pooled
 // frames flushed as one writev() of up to 64 coalesced iovecs; partially
-// written frames retry from their offset on the next writability.
+// written frames retry from their offset on the next writability. The queue
+// is a ring that only grows, so once warm neither send() nor flush()
+// allocates.
 //
 // Backpressure: when queued egress crosses the high watermark the
 // connection reports backed_up=true (and the owner pauses the peer feeding
@@ -20,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -120,7 +121,7 @@ class Connection {
   bool reads_paused() const { return reads_paused_; }
   bool backed_up() const { return backed_up_; }
   std::size_t pending_egress_bytes() const { return egress_bytes_; }
-  std::size_t pending_egress_frames() const { return egress_.size(); }
+  std::size_t pending_egress_frames() const { return egress_count_; }
   int fd() const { return socket_ ? socket_->fd() : -1; }
   const Stats& stats() const { return stats_; }
 
@@ -129,6 +130,11 @@ class Connection {
   void update_interest();
   void release_frame(std::vector<std::uint8_t> frame);
   void set_backed_up(bool backed_up);
+  // The i-th queued frame, oldest first.
+  std::vector<std::uint8_t>& egress_at(std::size_t i) {
+    return egress_[(egress_head_ + i) & (egress_.size() - 1)];
+  }
+  void pop_egress();
 
   EventLoop* loop_ = nullptr;
   std::unique_ptr<SocketOps> socket_;
@@ -145,8 +151,12 @@ class Connection {
   std::function<void()> close_observer_;
   FrameBufferPool* pool_ = nullptr;
 
-  std::deque<std::vector<std::uint8_t>> egress_;
-  std::size_t egress_front_offset_ = 0;  // bytes of egress_.front() written
+  // Queued frames: a ring of power-of-two size that doubles when full and
+  // never shrinks (a std::deque would allocate a chunk every few frames).
+  std::vector<std::vector<std::uint8_t>> egress_;
+  std::size_t egress_head_ = 0;
+  std::size_t egress_count_ = 0;
+  std::size_t egress_front_offset_ = 0;  // bytes of the oldest frame written
   std::size_t egress_bytes_ = 0;
   bool want_write_ = false;
   bool backed_up_ = false;

@@ -101,7 +101,10 @@ void SocketFrontend::bind_session(Peer& peer) {
         sever_peer(p->id, "egress overflow");
         return;
       }
-      dirty_peers_.insert(p->id);
+      if (!p->dirty) {
+        p->dirty = true;
+        dirty_peers_.push_back(p->id);
+      }
     };
   };
   peer.session = &system_.proxy().create_socket_session(sink(/*to_switch=*/true),
@@ -204,16 +207,17 @@ void SocketFrontend::finish_sever(std::uint64_t peer_id, const char* reason) {
 
 void SocketFrontend::flush_dirty() {
   if (dirty_peers_.empty()) return;
-  // A sink may dirty peers again while a flush runs; swap the set out so
+  // A sink may dirty peers again while a flush runs; swap the list out so
   // the iteration stays stable.
-  auto dirty = std::move(dirty_peers_);
-  dirty_peers_.clear();
-  for (const std::uint64_t id : dirty) {
+  flushing_peers_.swap(dirty_peers_);
+  for (const std::uint64_t id : flushing_peers_) {
     auto it = peers_.find(id);
     if (it == peers_.end()) continue;
+    it->second->dirty = false;
     if (it->second->switch_conn) it->second->switch_conn->flush();
     if (it->second->controller_conn) it->second->controller_conn->flush();
   }
+  flushing_peers_.clear();
 }
 
 void SocketFrontend::arm_tick() {

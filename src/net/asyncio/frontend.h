@@ -48,7 +48,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "common/result.h"
 #include "core/dfi_system.h"
@@ -95,6 +95,7 @@ class SocketFrontend {
     std::unique_ptr<Connection> controller_conn;
     DfiProxy::Session* session = nullptr;
     bool closing = false;
+    bool dirty = false;  // listed in dirty_peers_
   };
 
   void on_switch_accepted(std::unique_ptr<Connection> conn,
@@ -120,7 +121,10 @@ class SocketFrontend {
   std::unordered_map<std::uint64_t, std::unique_ptr<Peer>> peers_;
   // Peers whose egress queues a session sink fed since the last
   // flush_dirty(): batch-end flushing walks only these, not every live peer.
-  std::unordered_set<std::uint64_t> dirty_peers_;
+  // Two vectors swapped per flush, so both keep their capacity and a warm
+  // batch end allocates nothing.
+  std::vector<std::uint64_t> dirty_peers_;
+  std::vector<std::uint64_t> flushing_peers_;
   std::uint64_t next_peer_id_ = 1;
   FrontendStats stats_;
 

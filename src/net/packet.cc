@@ -23,10 +23,10 @@ void put_mac(std::vector<std::uint8_t>& out, const MacAddress& mac) {
 
 class Reader {
  public:
-  explicit Reader(const std::vector<std::uint8_t>& bytes) : bytes_(bytes) {}
+  Reader(const std::uint8_t* bytes, std::size_t size) : bytes_(bytes), size_(size) {}
 
-  bool has(std::size_t n) const { return pos_ + n <= bytes_.size(); }
-  std::size_t remaining() const { return bytes_.size() - pos_; }
+  bool has(std::size_t n) const { return pos_ + n <= size_; }
+  std::size_t remaining() const { return size_ - pos_; }
 
   std::uint8_t u8() { return bytes_[pos_++]; }
   std::uint16_t u16() {
@@ -47,12 +47,11 @@ class Reader {
     return MacAddress(octets);
   }
   void skip(std::size_t n) { pos_ += n; }
-  std::vector<std::uint8_t> rest() {
-    return {bytes_.begin() + static_cast<std::ptrdiff_t>(pos_), bytes_.end()};
-  }
+  std::vector<std::uint8_t> rest() { return {bytes_ + pos_, bytes_ + size_}; }
 
  private:
-  const std::vector<std::uint8_t>& bytes_;
+  const std::uint8_t* bytes_;
+  std::size_t size_;
   std::size_t pos_ = 0;
 };
 
@@ -140,7 +139,11 @@ std::vector<std::uint8_t> Packet::serialize() const {
 }
 
 Result<Packet> Packet::parse(const std::vector<std::uint8_t>& bytes) {
-  Reader reader(bytes);
+  return parse(bytes.data(), bytes.size());
+}
+
+Result<Packet> Packet::parse(const std::uint8_t* bytes, std::size_t size) {
+  Reader reader(bytes, size);
   if (!reader.has(14)) {
     return Result<Packet>::Fail(ErrorCode::kMalformed, "truncated Ethernet header");
   }

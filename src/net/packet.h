@@ -99,6 +99,9 @@ struct Packet {
   // remainder as payload rather than failing: DFI must make access-control
   // decisions even for traffic it cannot fully parse.
   static Result<Packet> parse(const std::vector<std::uint8_t>& bytes);
+  // The same over a borrowed span (a Packet-in's bytes inside its frame).
+  // Only a non-empty payload is copied, into `payload`.
+  static Result<Packet> parse(const std::uint8_t* bytes, std::size_t size);
 
   std::string summary() const;
 };

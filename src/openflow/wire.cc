@@ -863,6 +863,11 @@ std::uint16_t rd16(const std::uint8_t* d) {
   return static_cast<std::uint16_t>((d[0] << 8) | d[1]);
 }
 
+std::uint32_t rd32(const std::uint8_t* d) {
+  return (static_cast<std::uint32_t>(d[0]) << 24) | (static_cast<std::uint32_t>(d[1]) << 16) |
+         (static_cast<std::uint32_t>(d[2]) << 8) | d[3];
+}
+
 bool all_zero(const std::uint8_t* d, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     if (d[i] != 0) return false;
@@ -986,10 +991,14 @@ FrameClass classify_flow_mod(const std::uint8_t* d, std::size_t n,
   return FrameClass::kPatch;
 }
 
+// A canonical Packet-in's IN_PORT value and packet bytes sit at fixed
+// offsets: ofp_header (8), the 16-byte fixed body, the 16-byte match (OXM
+// header at 28, value at 32), then the 2-byte pad.
+constexpr std::size_t kPacketInInPortOffset = kHdrLen + 16 + 8;
+constexpr std::size_t kPacketInDataOffset = kHdrLen + 16 + 16 + 2;
+
 FrameClass classify_packet_in(const std::uint8_t* d, std::size_t n) {
   if (n < kHdrLen + 16) return FrameClass::kDecode;
-  // Table-0 miss: the PCP decides before the controller may see it.
-  if (d[kPacketInTableOffset] == 0) return FrameClass::kDecode;
   // decode() keeps only the IN_PORT oxm and re-encode always writes exactly
   // one, so canonical means: match of length 12 whose single field is
   // IN_PORT (4 + 8), padded to 16, then the 2-byte zero pad, then data.
@@ -1000,7 +1009,8 @@ FrameClass classify_packet_in(const std::uint8_t* d, std::size_t n) {
   if (d[match_off + 6] >> 1 != kOxmInPort) return FrameClass::kDecode;
   if (match_end + 2 > n) return FrameClass::kDecode;
   if (d[match_end] != 0 || d[match_end + 1] != 0) return FrameClass::kDecode;
-  return FrameClass::kPatch;
+  // Table-0 miss: the PCP decides before the controller may see it.
+  return d[kPacketInTableOffset] == 0 ? FrameClass::kPacketIn : FrameClass::kPatch;
 }
 
 FrameClass classify_flow_removed(const std::uint8_t* d, std::size_t n) {
@@ -1211,6 +1221,134 @@ bool patch_table_refs(std::uint8_t* data, std::size_t size, ProxyDirection direc
     default:
       return false;
   }
+}
+
+PacketInFields packet_in_fields(const FrameView& view) {
+  const std::uint8_t* d = view.data();
+  PacketInFields fields;
+  fields.in_port = PortNo{rd32(d + kPacketInInPortOffset)};
+  fields.data = d + kPacketInDataOffset;
+  fields.size = view.size() - kPacketInDataOffset;
+  return fields;
+}
+
+// ------------------------------------------------- the decision FlowMod
+//
+// compile_exact_rule's FlowMod: the 40-byte fixed part, a match whose
+// fields depend only on which layers the packet has, and at most a
+// goto-table. So its layout is fixed once those layers are known, and it
+// is written with one resize and direct stores — the same bytes encode()
+// emits, field for field.
+
+bool is_exact_rule(const FlowModMsg& mod) {
+  const Match& m = mod.match;
+  if (!m.in_port || !m.eth_src || !m.eth_dst || !m.eth_type) return false;
+  const bool ip = m.ip_proto.has_value();
+  if (m.ipv4_src.has_value() != ip || m.ipv4_dst.has_value() != ip) return false;
+  const bool tcp = m.tcp_src.has_value();
+  const bool udp = m.udp_src.has_value();
+  if (m.tcp_dst.has_value() != tcp || m.udp_dst.has_value() != udp) return false;
+  if ((tcp || udp) && (!ip || (tcp && udp))) return false;
+  return mod.instructions.apply_actions.empty();
+}
+
+namespace {
+
+std::uint8_t* put16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
+  return p + 2;
+}
+
+std::uint8_t* put32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
+  return p + 4;
+}
+
+std::uint8_t* put64(std::uint8_t* p, std::uint64_t v) {
+  put32(p, static_cast<std::uint32_t>(v >> 32));
+  return put32(p + 4, static_cast<std::uint32_t>(v));
+}
+
+// One unmasked OFPXMC_OPENFLOW_BASIC TLV header (see write_oxm_header).
+std::uint8_t* put_oxm(std::uint8_t* p, std::uint8_t field, std::uint8_t len) {
+  p = put16(p, 0x8000);
+  p[0] = static_cast<std::uint8_t>(field << 1);
+  p[1] = len;
+  return p + 2;
+}
+
+std::uint8_t* put_mac(std::uint8_t* p, const MacAddress& mac) {
+  const auto& octets = mac.octets();
+  std::memcpy(p, octets.data(), octets.size());
+  return p + octets.size();
+}
+
+}  // namespace
+
+void encode_exact_rule_into(std::uint32_t xid, const FlowModMsg& mod,
+                            std::vector<std::uint8_t>& out) {
+  assert(is_exact_rule(mod));
+  const Match& m = mod.match;
+  const bool ip = m.ip_proto.has_value();
+  const bool l4 = m.tcp_src.has_value() || m.udp_src.has_value();
+  // OFPMT_OXM header, IN_PORT, ETH_DST, ETH_SRC, ETH_TYPE; IP_PROTO and
+  // both IPv4 addresses; both L4 ports.
+  const std::size_t match_len =
+      4 + 8 + 10 + 10 + 6 + (ip ? 5 + 8 + 8 : 0) + (l4 ? 6 + 6 : 0);
+  const std::size_t match_padded = (match_len + 7) / 8 * 8;
+  const std::size_t size =
+      kHdrLen + 40 + match_padded + (mod.instructions.goto_table ? 8 : 0);
+  out.clear();
+  out.resize(size);  // zero-filled: every pad byte is already written
+  std::uint8_t* p = out.data();
+  *p++ = kOfVersion13;
+  *p++ = static_cast<std::uint8_t>(OfType::kFlowMod);
+  p = put16(p, static_cast<std::uint16_t>(size));
+  p = put32(p, xid);
+  p = put64(p, mod.cookie.value);
+  p = put64(p, mod.cookie_mask.value);
+  *p++ = mod.table_id;
+  *p++ = static_cast<std::uint8_t>(mod.command);
+  p = put16(p, mod.idle_timeout);
+  p = put16(p, mod.hard_timeout);
+  p = put16(p, mod.priority);
+  p = put32(p, mod.buffer_id);
+  p = put32(p, mod.out_port.value);
+  p = put32(p, 0xffffffff);  // out_group = OFPG_ANY
+  p = put16(p, mod.flags);
+  p += 2;
+  std::uint8_t* const match = p;
+  p = put16(p, 1);  // OFPMT_OXM
+  p = put16(p, static_cast<std::uint16_t>(match_len));
+  p = put32(put_oxm(p, kOxmInPort, 4), m.in_port->value);
+  p = put_mac(put_oxm(p, kOxmEthDst, 6), *m.eth_dst);
+  p = put_mac(put_oxm(p, kOxmEthSrc, 6), *m.eth_src);
+  p = put16(put_oxm(p, kOxmEthType, 2), *m.eth_type);
+  if (ip) {
+    p = put_oxm(p, kOxmIpProto, 1);
+    *p++ = *m.ip_proto;
+    p = put32(put_oxm(p, kOxmIpv4Src, 4), m.ipv4_src->value());
+    p = put32(put_oxm(p, kOxmIpv4Dst, 4), m.ipv4_dst->value());
+  }
+  if (m.tcp_src) {
+    p = put16(put_oxm(p, kOxmTcpSrc, 2), *m.tcp_src);
+    p = put16(put_oxm(p, kOxmTcpDst, 2), *m.tcp_dst);
+  } else if (m.udp_src) {
+    p = put16(put_oxm(p, kOxmUdpSrc, 2), *m.udp_src);
+    p = put16(put_oxm(p, kOxmUdpDst, 2), *m.udp_dst);
+  }
+  p = match + match_padded;
+  if (mod.instructions.goto_table) {
+    p = put16(p, 1);  // OFPIT_GOTO_TABLE
+    p = put16(p, 8);
+    *p++ = *mod.instructions.goto_table;
+    p += 3;
+  }
+  assert(p == out.data() + out.size());
 }
 
 Result<OfMessage> decode(const std::vector<std::uint8_t>& bytes) {

@@ -15,12 +15,19 @@
 //    non-owning span over one frame in the decoder's buffer — and reports
 //    whether the proxy can forward the bytes untouched (kPassThrough),
 //    rewrite every table_id in place at fixed/TLV-walked offsets (kPatch),
-//    or must fall back to full decode (kDecode). classify() only admits
-//    frames in *canonical* form — the exact byte layout encode() produces —
-//    because the slow path is decode→re-encode and therefore canonicalizes;
-//    admitting anything else would break byte-for-byte equivalence between
-//    the two paths. The slow path stays on as the differential oracle
-//    (tests/wire_fastpath_test.cc).
+//    hand a table-0 Packet-in to the PCP straight from its bytes
+//    (kPacketIn: packet_in_fields() reads it, an allowed one is forwarded
+//    verbatim), or must fall back to full decode (kDecode). classify() only
+//    admits frames in *canonical* form — the exact byte layout encode()
+//    produces — because the slow path is decode→re-encode and therefore
+//    canonicalizes; admitting anything else would break byte-for-byte
+//    equivalence between the two paths. The slow path stays on as the
+//    differential oracle (tests/wire_fastpath_test.cc).
+//
+// The PCP's decision FlowMod has a writer of its own: encode_exact_rule_into
+// writes the one FlowMod shape compile_exact_rule produces in one pass at
+// its fixed layout, byte-identical to encode_into. Every other FlowMod
+// takes encode_into.
 #pragma once
 
 #include <cstdint>
@@ -71,8 +78,11 @@ enum class ProxyDirection : std::uint8_t {
 enum class FrameClass : std::uint8_t {
   kPassThrough,  // forward the bytes verbatim
   kPatch,        // rewrite table ids in place via patch_table_refs()
-  kDecode,       // full decode required (Packet-in -> PCP, handshake,
-                 // errors, expansion, and anything non-canonical)
+  kDecode,       // full decode required (handshake, errors, expansion,
+                 // and anything non-canonical)
+  kPacketIn,     // table-0 Packet-in (switch -> controller): the PCP
+                 // decides from packet_in_fields(); forwarded verbatim
+                 // when allowed
 };
 
 // Fixed byte offsets of the primary table_id in patchable messages
@@ -86,11 +96,22 @@ inline constexpr std::size_t kMultipartRequestTableOffset = 16;
 // Classify one frame for the proxy fast path without decoding it.
 // `switch_num_tables` is the table count learned from the handshake (0 if
 // unknown); it gates the FLOW_MOD out-of-range check exactly like the slow
-// path does. Guarantees: a kPassThrough frame forwarded verbatim, or a
-// kPatch frame run through patch_table_refs(), is byte-identical to what
-// decode -> table shift -> encode would have produced.
+// path does. Guarantees: a kPassThrough or kPacketIn frame forwarded
+// verbatim, or a kPatch frame run through patch_table_refs(), is
+// byte-identical to what decode -> table shift -> encode would have
+// produced.
 FrameClass classify(const FrameView& view, ProxyDirection direction,
                     std::uint8_t switch_num_tables);
+
+// What the PCP reads from a canonical Packet-in — one classify() admits as
+// kPacketIn or kPatch, or one encode() wrote — at its fixed offsets: the
+// IN_PORT value and the packet bytes (valid as long as the view is).
+struct PacketInFields {
+  PortNo in_port{};
+  const std::uint8_t* data = nullptr;
+  std::size_t size = 0;
+};
+PacketInFields packet_in_fields(const FrameView& view);
 
 // Rewrite every table reference in a frame previously classified kPatch for
 // the same direction: the primary table_id at its fixed offset, plus
@@ -106,6 +127,18 @@ std::vector<std::uint8_t> encode(const OfMessage& message);
 // Encode into caller-provided storage (cleared first; capacity reused).
 // This is the zero-allocation path when `out` comes from a FrameBufferPool.
 void encode_into(const OfMessage& message, std::vector<std::uint8_t>& out);
+
+// True for the one FlowMod shape the PCP's compile_exact_rule produces: an
+// exact match on in-port, both MACs and the EtherType, plus the IPv4
+// protocol and addresses when one is present, plus both TCP or both UDP
+// ports when those are; a goto-table instruction or none.
+bool is_exact_rule(const FlowModMsg& mod);
+
+// Write FLOW_MOD `mod` (is_exact_rule) into `out` (cleared first) in one
+// pass at its fixed layout. Byte-identical to encode_into(OfMessage{xid,
+// mod}), which every other FlowMod takes.
+void encode_exact_rule_into(std::uint32_t xid, const FlowModMsg& mod,
+                            std::vector<std::uint8_t>& out);
 
 // Decode exactly one message from `bytes` (must contain exactly one frame).
 Result<OfMessage> decode(const std::vector<std::uint8_t>& bytes);

@@ -224,8 +224,7 @@ TEST_F(PcpTest, InlineAdmissionBoundSpansRunsOfOneReadBatch) {
   const auto run = [&](std::size_t n) {
     std::vector<PolicyCompilationPoint::BatchItem> items(n);
     for (auto& item : items) {
-      item.dpid = Dpid{1};
-      item.msg = packet_in_for(sample_packet());
+      item.input = make_decision_input(Dpid{1}, packet_in_for(sample_packet()));
       item.done = [&decided](const PcpDecision&) { ++decided; };
     }
     return items;

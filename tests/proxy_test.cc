@@ -171,6 +171,36 @@ TEST_F(ProxyTest, Table0PacketInAllowedForwardedToController) {
   EXPECT_EQ(proxy_.stats().packet_ins_forwarded, 1u);
 }
 
+// A table-0 Packet-in the fast path does not admit (a nonzero pad after
+// its match, which decode() skips) is decoded and re-encoded once, then
+// decided and forwarded like a canonical one.
+TEST_F(ProxyTest, NonCanonicalTable0PacketInIsReencodedOnce) {
+  complete_handshake();
+  PolicyRule allow;
+  allow.action = PolicyAction::kAllow;
+  manager_.insert(allow, PdpPriority{5}, "t");
+  const ProxyStats before = proxy_.stats();
+
+  std::vector<std::uint8_t> bytes = encode(OfMessage{21, table0_miss()});
+  bytes[8 + 16 + 16] = 0x5a;  // the pad between the match and the data
+  ASSERT_EQ(classify(FrameView(bytes.data(), bytes.size()),
+                     ProxyDirection::kSwitchToController, 4),
+            FrameClass::kDecode);
+  session_.from_switch(bytes);
+  sim_.run();
+
+  const ProxyStats& after = proxy_.stats();
+  EXPECT_EQ(after.frames_decoded, before.frames_decoded + 1);
+  EXPECT_EQ(after.frames_fast_path, before.frames_fast_path);
+  EXPECT_EQ(after.packet_ins_forwarded, before.packet_ins_forwarded + 1);
+  const auto packet_ins = of_type<PacketInMsg>(to_controller_);
+  ASSERT_EQ(packet_ins.size(), 1u);
+  EXPECT_EQ(packet_ins[0].table_id, 0);
+  EXPECT_EQ(packet_ins[0].in_port, table0_miss().in_port);
+  EXPECT_EQ(packet_ins[0].data, table0_miss().data);
+  EXPECT_EQ(proxy_.buffer_pool().in_use(), 0u);
+}
+
 TEST_F(ProxyTest, LaterTablePacketInBypassesPcpAndShiftsDown) {
   complete_handshake();
   PacketInMsg msg = table0_miss();
@@ -427,6 +457,65 @@ TEST(ProxyTeardown, ThreadedDecisionsInFlightAtDestroy) {
   sim.run();
   EXPECT_EQ(switch_bytes, switch_before);
   EXPECT_EQ(controller_bytes, controller_before);
+}
+
+// A table-0 Packet-in's pooled frame waits with it until the verdict. On
+// the threaded backend that spans poll_completions(), so tearing the
+// session down mid-flight must hand every such frame back to the pool at
+// once, and the late verdicts must deliver nothing.
+TEST(ProxyTeardown, ThreadedInFlightFramesReturnToPool) {
+  MessageBus bus;
+  EntityResolutionManager erm(bus);
+  PolicyManager manager(bus);
+  PolicyRule allow;
+  allow.action = PolicyAction::kAllow;
+  manager.insert(allow, PdpPriority{5}, "t");
+  PcpConfig config;
+  config.backend = PcpBackend::kThreads;
+  config.shards = 2;
+  PolicyCompilationPoint pcp(bus, erm, manager, config);
+  DfiProxy proxy(pcp, nullptr);
+
+  std::size_t delivered = 0;
+  const auto sink = [&proxy, &delivered](std::vector<std::uint8_t> frame) {
+    ++delivered;
+    proxy.buffer_pool().release(std::move(frame));
+  };
+  auto& session = proxy.create_socket_session(sink, sink);
+  const auto feed = [&session](const std::vector<std::uint8_t>& frame) {
+    session.switch_frame(FrameView(frame.data(), frame.size()));
+  };
+  FeaturesReplyMsg features;
+  features.datapath_id = Dpid{9};
+  features.n_tables = 4;
+  feed(encode(OfMessage{1, features}));
+  session.switch_batch_end();
+  pcp.wait_idle();  // the registration's resync
+  ASSERT_EQ(proxy.buffer_pool().in_use(), 0u);
+
+  constexpr std::uint32_t kInFlight = 8;
+  for (std::uint32_t i = 0; i < kInFlight; ++i) {
+    PacketInMsg msg;
+    msg.table_id = 0;
+    msg.in_port = PortNo{3};
+    msg.data = make_tcp_packet(MacAddress::from_u64(1), MacAddress::from_u64(2),
+                               Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 0, 2),
+                               1000, static_cast<std::uint16_t>(80 + i))
+                   .serialize();
+    feed(encode(OfMessage{10 + i, msg}));
+  }
+  session.switch_batch_end();
+  EXPECT_EQ(proxy.stats().frames_fast_path, kInFlight);
+  // Submitted, not yet applied: each Packet-in still holds its frame.
+  EXPECT_EQ(proxy.buffer_pool().in_use(), kInFlight);
+  const std::size_t delivered_before = delivered;
+
+  proxy.destroy_session(session);
+  EXPECT_EQ(proxy.buffer_pool().in_use(), 0u);
+  pcp.wait_idle();  // the verdicts land on freed slots
+  EXPECT_EQ(proxy.buffer_pool().in_use(), 0u);
+  EXPECT_EQ(delivered, delivered_before);
+  EXPECT_EQ(proxy.stats().packet_ins_forwarded, 0u);
 }
 
 TEST_F(ProxyTest, FastPathCountersClassifyTraffic) {

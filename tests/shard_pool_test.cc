@@ -298,8 +298,7 @@ void run_pool_batched(World& world, const std::vector<Batch>& script,
         const PacketOp& packet = batch.packets[offset + i];
         const std::size_t index = world.results.size();
         world.results.emplace_back();
-        items[i].dpid = packet.dpid;
-        items[i].msg = world.packet_in_for(packet);
+        items[i].input = make_decision_input(packet.dpid, world.packet_in_for(packet));
         items[i].done = [&world, index](const PcpDecision& decision) {
           world.results[index] = result_of(decision);
         };
@@ -511,8 +510,7 @@ TEST(ShardPoolBatch, PartialAcceptanceMarksItemsIndividually) {
     PacketOp op;
     op.packet = make_tcp_packet(mac_of(0), mac_of(1), ip_of(0), ip_of(1),
                                 static_cast<std::uint16_t>(1000 + i), 445);
-    items[i].dpid = Dpid{1};
-    items[i].msg = world.packet_in_for(op);
+    items[i].input = make_decision_input(Dpid{1}, world.packet_in_for(op));
     items[i].done = [&done_calls](const PcpDecision&) { ++done_calls; };
   }
   const std::size_t accepted = world.pcp.handle_packet_in_batch(items);

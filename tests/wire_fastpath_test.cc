@@ -1,20 +1,24 @@
 // Differential proof for the wire fast path (DESIGN.md §5).
 //
 // The proxy's slow path is decode -> table shift -> encode; the fast path
-// forwards bytes verbatim (kPassThrough) or rewrites table ids in place
-// (kPatch). This suite pits the two against each other frame by frame:
-// whenever classify() admits a frame to the fast path, the fast-path bytes
-// must equal the slow path's output exactly. Random canonical messages of
+// forwards bytes verbatim (kPassThrough), rewrites table ids in place
+// (kPatch), or hands a table-0 Packet-in to the PCP from its bytes and
+// forwards those bytes if allowed (kPacketIn). This suite pits the two
+// against each other frame by frame: whenever classify() admits a frame to
+// the fast path, the fast-path bytes — and, for a Packet-in, the PCP's
+// input — must equal the slow path's exactly. Random canonical messages of
 // every type in messages.h, table_id boundary values, truncated/runt/
 // oversized-length frames, and random byte mutations all go through the
 // same check — the last one is the interesting case, because it hunts for
-// non-canonical frames the classifier wrongly admits.
+// non-canonical frames the classifier wrongly admits. The PCP's decision
+// FlowMod writer is checked against encode() the same way.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/pcp_decide.h"
 #include "openflow/wire.h"
 
 namespace dfi {
@@ -109,6 +113,11 @@ std::vector<OfMessage> random_messages(Rng& rng) {
   packet_in.in_port = PortNo{static_cast<std::uint32_t>(rng.uniform_int(1, 48))};
   packet_in.data = random_payload_bytes(rng, 128);
   out.push_back({xid(), packet_in});
+  // The same Packet-in as a table-0 miss (kPacketIn), in every round; it
+  // draws nothing, so the messages after it are what they always were.
+  PacketInMsg table0_miss = packet_in;
+  table0_miss.table_id = 0;
+  out.push_back({out.back().xid, table0_miss});
 
   PacketOutMsg packet_out;
   packet_out.in_port = PortNo{static_cast<std::uint32_t>(rng.uniform_int(1, 48))};
@@ -261,6 +270,24 @@ std::optional<std::vector<std::vector<std::uint8_t>>> slow_path_oracle(
   return Frames{encode(message)};
 }
 
+// A kPacketIn frame's two roads to the PCP: the input parsed from the
+// frame's bytes must equal the one parsed from the decoded message in flow
+// key, headers (serialized back, payload included) and in-port.
+void check_decision_input(const FrameView& view, const PacketInMsg& decoded) {
+  const Dpid dpid{7};
+  const PacketInFields fields = packet_in_fields(view);
+  const DecisionInput fast =
+      make_decision_input(dpid, fields.in_port, fields.data, fields.size);
+  const DecisionInput slow = make_decision_input(dpid, decoded);
+  EXPECT_EQ(fast.dpid, slow.dpid);
+  EXPECT_EQ(fast.in_port, slow.in_port);
+  ASSERT_EQ(fast.packet.has_value(), slow.packet.has_value());
+  if (!fast.packet.has_value()) return;
+  EXPECT_EQ(fast.flow_key, slow.flow_key);
+  EXPECT_EQ(fast.packet->serialize(), slow.packet->serialize());
+  EXPECT_EQ(fast.packet->summary(), slow.packet->summary());
+}
+
 // The differential check: whatever classify() decides, the fast path's
 // bytes must be indistinguishable from the slow path's.
 void check_frame(const std::vector<std::uint8_t>& bytes, ProxyDirection direction,
@@ -281,7 +308,32 @@ void check_frame(const std::vector<std::uint8_t>& bytes, ProxyDirection directio
     EXPECT_EQ(cls, FrameClass::kDecode);
     return;
   }
-  if (cls == FrameClass::kDecode) return;  // both paths share the decode code
+  if (cls == FrameClass::kDecode) {
+    // Both paths share the decode code. A table-0 Packet-in decoded here
+    // reaches the PCP re-encoded, and that frame takes the kPacketIn road.
+    const auto* packet_in = std::get_if<PacketInMsg>(&decoded.value().payload);
+    if (direction == ProxyDirection::kSwitchToController && packet_in != nullptr &&
+        packet_in->table_id == 0) {
+      const auto canonical = encode(decoded.value());
+      const FrameView canonical_view(canonical.data(), canonical.size());
+      EXPECT_EQ(classify(canonical_view, direction, switch_num_tables),
+                FrameClass::kPacketIn);
+      check_decision_input(canonical_view, *packet_in);
+    }
+    return;
+  }
+
+  if (cls == FrameClass::kPacketIn) {
+    // The slow path would decode, hand the message to the PCP and
+    // re-encode it on an allow; the fast path forwards these bytes.
+    ASSERT_EQ(direction, ProxyDirection::kSwitchToController);
+    const auto* packet_in = std::get_if<PacketInMsg>(&decoded.value().payload);
+    ASSERT_NE(packet_in, nullptr) << "kPacketIn claimed a non-Packet-in";
+    EXPECT_EQ(packet_in->table_id, 0);
+    EXPECT_EQ(encode(decoded.value()), bytes) << "forwarded Packet-in differs from slow path";
+    check_decision_input(view, *packet_in);
+    return;
+  }
 
   const auto expected = slow_path_oracle(decoded.value(), direction, switch_num_tables);
   ASSERT_TRUE(expected.has_value())
@@ -413,10 +465,10 @@ TEST(FastPathBoundaries, PacketInAndFlowRemovedTableEdges) {
     packet_in.data = {1, 2, 3};
     const auto pi_bytes = encode(OfMessage{1, packet_in});
     check_frame(pi_bytes, ProxyDirection::kSwitchToController, 4);
-    // Table 0 packet-ins are the PCP's, never the fast path's.
+    // Table 0 packet-ins go to the PCP from their bytes, never patched.
     EXPECT_EQ(classify(FrameView(pi_bytes.data(), pi_bytes.size()),
                        ProxyDirection::kSwitchToController, 4),
-              table == 0 ? FrameClass::kDecode : FrameClass::kPatch);
+              table == 0 ? FrameClass::kPacketIn : FrameClass::kPatch);
 
     FlowRemovedMsg removed;
     removed.table_id = table;
@@ -565,6 +617,158 @@ TEST(FastPathCoverage, CanonicalHotPathFramesAvoidDecode) {
   EXPECT_EQ(classify(FrameView(po.data(), po.size()),
                      ProxyDirection::kControllerToSwitch, 4),
             FrameClass::kPassThrough);
+}
+
+// ---------------------------------------------------------------------------
+// Table-0 Packet-ins carrying the packets the PCP decides on: TCP, UDP,
+// ICMP, ARP and a non-IP EtherType, with and without an L4 payload. Each
+// goes through the differential check as encoded (kPacketIn) and under
+// random mutations (either kDecode or still in agreement).
+
+std::vector<Packet> decision_packets(Rng& rng) {
+  const auto mac = [&rng] { return MacAddress::from_u64(rng.next_u64() & 0xfeffffffffffull); };
+  const auto ip = [&rng] {
+    return Ipv4Address(10, static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+                       static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+                       static_cast<std::uint8_t>(rng.uniform_int(1, 254)));
+  };
+  const auto port = [&rng] { return static_cast<std::uint16_t>(rng.uniform_int(1, 65535)); };
+  std::vector<Packet> packets;
+  packets.push_back(make_tcp_packet(mac(), mac(), ip(), ip(), port(), port()));
+  Packet tcp_with_payload = make_tcp_packet(mac(), mac(), ip(), ip(), port(), port());
+  tcp_with_payload.payload = random_payload_bytes(rng, 64);
+  packets.push_back(tcp_with_payload);
+  packets.push_back(make_udp_packet(mac(), mac(), ip(), ip(), port(), port()));
+  Packet icmp;
+  icmp.eth = {mac(), mac(), static_cast<std::uint16_t>(EtherType::kIpv4)};
+  icmp.ipv4 = Ipv4Header{64, static_cast<std::uint8_t>(IpProto::kIcmp), ip(), ip()};
+  icmp.payload = {8, 0, 0, 0};
+  packets.push_back(icmp);
+  packets.push_back(make_arp_request(mac(), ip(), ip()));
+  Packet experimental;
+  experimental.eth = {mac(), mac(), static_cast<std::uint16_t>(EtherType::kExperimental)};
+  experimental.payload = random_payload_bytes(rng, 32);
+  packets.push_back(experimental);
+  return packets;
+}
+
+std::vector<std::uint8_t> table0_packet_in(Rng& rng, const Packet& packet) {
+  PacketInMsg msg;
+  msg.table_id = 0;
+  msg.buffer_id = rng.chance(0.5) ? kNoBuffer : static_cast<std::uint32_t>(rng.next_u64());
+  msg.reason = rng.chance(0.5) ? PacketInReason::kNoMatch : PacketInReason::kAction;
+  msg.cookie = Cookie{rng.next_u64()};
+  msg.in_port = PortNo{static_cast<std::uint32_t>(rng.uniform_int(1, 48))};
+  msg.data = packet.serialize();
+  msg.total_len = static_cast<std::uint16_t>(msg.data.size());
+  return encode(OfMessage{static_cast<std::uint32_t>(rng.next_u64()), msg});
+}
+
+TEST(FastPathPacketIn, DecisionPacketsRideTheFastPathAndAgree) {
+  Rng rng(41);
+  for (int round = 0; round < 50; ++round) {
+    for (const Packet& packet : decision_packets(rng)) {
+      const auto bytes = table0_packet_in(rng, packet);
+      EXPECT_EQ(classify(FrameView(bytes.data(), bytes.size()),
+                         ProxyDirection::kSwitchToController, 4),
+                FrameClass::kPacketIn);
+      check_frame(bytes, ProxyDirection::kSwitchToController, 4);
+
+      auto mutated = bytes;
+      const int mutations = static_cast<int>(rng.uniform_int(1, 3));
+      for (int m = 0; m < mutations; ++m) {
+        const auto pos = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(mutated.size()) - 1));
+        mutated[pos] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      }
+      check_frame(mutated, ProxyDirection::kSwitchToController, 4);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The decision FlowMod writer against the general encoder: the rule
+// compile_exact_rule produces for every kind of packet, allowed and denied,
+// must come out byte-identical, whatever its scalar fields hold.
+
+TEST(ExactRuleWriter, MatchesEncodeForEveryPacketKindAllowAndDeny) {
+  Rng rng(97);
+  std::vector<std::uint8_t> written;
+  PcpConfig config;
+  for (int round = 0; round < 50; ++round) {
+    for (const Packet& packet : decision_packets(rng)) {
+      for (const bool allow : {true, false}) {
+        config.rule_priority = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
+        config.controller_first_table = static_cast<std::uint8_t>(rng.uniform_int(1, 254));
+        FlowModMsg rule =
+            compile_exact_rule(packet, PortNo{static_cast<std::uint32_t>(rng.next_u64())},
+                               allow, Cookie{rng.next_u64()}, config);
+        ASSERT_TRUE(is_exact_rule(rule)) << packet.summary();
+        const auto xid = static_cast<std::uint32_t>(rng.next_u64());
+        encode_exact_rule_into(xid, rule, written);
+        EXPECT_EQ(written, encode(OfMessage{xid, rule})) << packet.summary();
+        // The fixed-part scalars are written from the message too.
+        rule.cookie_mask = Cookie{rng.next_u64()};
+        rule.command = static_cast<FlowModCommand>(rng.uniform_int(0, 4));
+        rule.table_id = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+        rule.idle_timeout = static_cast<std::uint16_t>(rng.uniform_int(0, 600));
+        rule.hard_timeout = static_cast<std::uint16_t>(rng.uniform_int(0, 600));
+        rule.buffer_id = static_cast<std::uint32_t>(rng.next_u64());
+        rule.out_port = PortNo{static_cast<std::uint32_t>(rng.next_u64())};
+        rule.flags = static_cast<std::uint16_t>(rng.uniform_int(0, 3));
+        encode_exact_rule_into(xid, rule, written);
+        EXPECT_EQ(written, encode(OfMessage{xid, rule})) << packet.summary();
+      }
+    }
+  }
+}
+
+TEST(ExactRuleWriter, OtherFlowModShapesAreNotExactRules) {
+  const Packet tcp = make_tcp_packet(MacAddress::from_u64(1), MacAddress::from_u64(2),
+                                     Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 0, 2),
+                                     1000, 80);
+  const FlowModMsg exact = compile_exact_rule(tcp, PortNo{3}, true, Cookie{5}, PcpConfig{});
+  ASSERT_TRUE(is_exact_rule(exact));
+
+  FlowModMsg wildcard = exact;  // wildcard caching narrows the match
+  wildcard.match.eth_src.reset();
+  EXPECT_FALSE(is_exact_rule(wildcard));
+  FlowModMsg no_port = exact;
+  no_port.match.in_port.reset();
+  EXPECT_FALSE(is_exact_rule(no_port));
+  FlowModMsg half_ip = exact;
+  half_ip.match.ipv4_dst.reset();
+  EXPECT_FALSE(is_exact_rule(half_ip));
+  FlowModMsg half_l4 = exact;
+  half_l4.match.tcp_dst.reset();
+  EXPECT_FALSE(is_exact_rule(half_l4));
+  FlowModMsg both_l4 = exact;
+  both_l4.match.udp_src = 1;
+  both_l4.match.udp_dst = 2;
+  EXPECT_FALSE(is_exact_rule(both_l4));
+  FlowModMsg l4_without_ip = exact;
+  l4_without_ip.match.ip_proto.reset();
+  l4_without_ip.match.ipv4_src.reset();
+  l4_without_ip.match.ipv4_dst.reset();
+  EXPECT_FALSE(is_exact_rule(l4_without_ip));
+  FlowModMsg with_actions = exact;
+  with_actions.instructions.apply_actions.push_back(OutputAction{PortNo{2}});
+  EXPECT_FALSE(is_exact_rule(with_actions));
+  FlowModMsg clear_all;  // the resync and flush deletes
+  clear_all.command = FlowModCommand::kDelete;
+  EXPECT_FALSE(is_exact_rule(clear_all));
+
+  // Every random FlowMod the writer admits, it writes as encode() does.
+  Rng rng(5);
+  std::vector<std::uint8_t> written;
+  for (int round = 0; round < 200; ++round) {
+    for (const auto& message : random_messages(rng)) {
+      const auto* mod = std::get_if<FlowModMsg>(&message.payload);
+      if (mod == nullptr || !is_exact_rule(*mod)) continue;
+      encode_exact_rule_into(message.xid, *mod, written);
+      EXPECT_EQ(written, encode(message));
+    }
+  }
 }
 
 }  // namespace

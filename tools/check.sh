@@ -7,17 +7,19 @@
 #          a ClockFn (common/sim_time.h); only the composition root
 #          (core/dfi_system.cc) and the simulated testbed's time-of-day PDP
 #          (core/pdps/time_of_day.{h,cc}) reach the simulator. Then
-#          configure + build + full ctest suite (the 613 tier-1 tests),
+#          configure + build + full ctest suite (the 620 tier-1 tests),
 #          then the proxy-datapath, scale-out, entity-plane, socket-
 #          datapath and failover benches in smoke mode, each gated against
 #          its committed baseline under bench/baselines/. Every bench gate
 #          runs even when an earlier one fails; the stage then fails naming
 #          each gate that failed
 #   asan   ASan+UBSan build (-DDFI_SANITIZE=ON) of the memory-sensitive
-#          component tests — including the proxy teardown regressions
+#          component tests — including the proxy teardown regressions —
+#          built as one make goal (asan_stage_tests, tests/CMakeLists.txt)
 #   tsan   TSan build (-DDFI_SANITIZE=thread) of the SPSC ring stress, the
 #          threaded shard-pool and bus tests, and the policy index's and
-#          the ERM's concurrent snapshot readers
+#          the ERM's concurrent snapshot readers, built as one make goal
+#          (tsan_stage_tests)
 #   fuzz   the model-based invariant fuzz campaign (tests/support/
 #          fuzz_harness.cc): the full deterministic campaign on the plain
 #          build, plus bounded campaigns under ASan+UBSan and TSan.
@@ -143,11 +145,9 @@ fi
 if want asan; then
   echo "== sanitizer build (ASan+UBSan) =="
   cmake -B build-asan -S . -DDFI_SANITIZE=ON >/dev/null
-  cmake --build build-asan -j "${JOBS}" --target \
-    policy_index_test decision_cache_test policy_manager_test erm_test \
-    intern_test pcp_test paper_timing_test bus_test proxy_test flush_test \
-    event_loop_test conman_test fault_socket_test socket_frontend_test \
-    secure_channel_test wire_test
+  # One aggregate goal (tests/CMakeLists.txt) over the tests run below, so
+  # make builds them in parallel rather than one goal after another.
+  cmake --build build-asan -j "${JOBS}" --target asan_stage_tests
 
   echo "== sanitizer tests =="
   ./build-asan/tests/intern_test
@@ -174,9 +174,7 @@ fi
 if want tsan; then
   echo "== sanitizer build (TSan, threaded backend) =="
   cmake -B build-tsan -S . -DDFI_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "${JOBS}" --target spsc_ring_test \
-    shard_pool_test bus_test proxy_test intern_test \
-    event_loop_test conman_test policy_index_test erm_test
+  cmake --build build-tsan -j "${JOBS}" --target tsan_stage_tests
 
   echo "== sanitizer tests (TSan) =="
   ./build-tsan/tests/intern_test
